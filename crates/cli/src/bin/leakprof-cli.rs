@@ -119,7 +119,7 @@ fn run() -> Result<ExitCode, ExitCode> {
         println!(
             "lifecycle: {reported} reported, {acked} acknowledged, {fixed} fixed, {rejected} rejected"
         );
-        if let Err(e) = std::fs::write(path, store.to_json()) {
+        if let Err(e) = durable::write_atomic(path, store.to_json().as_bytes()) {
             eprintln!("error: cannot write {store_path}: {e}");
             return Err(ExitCode::from(2));
         }

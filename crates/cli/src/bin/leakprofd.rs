@@ -4,8 +4,7 @@
 //! ```text
 //! leakprofd serve       [--instances N] [--days D] [--seed S] [--port P]
 //!                       [--cycles N] [--interval-ms MS] [--threshold T]
-//!                       [--top N] [--history PATH] [--keep N]
-//!                       [--state-dir PATH] [--snapshot-every N]
+//!                       [--top N] [--state-dir PATH] [--snapshot-every N]
 //!                       [--source-dir PATH] [--ast-filter]
 //!                       [--keepalive BOOL] [--adaptive]
 //!                       [--interval-min-ms MS] [--interval-max-ms MS]
@@ -15,7 +14,7 @@
 //! leakprofd scrape-once [--addr HOST:PORT] [--instances N] [--days D]
 //!                       [--seed S] [--threshold T] [--top N] [--workers N]
 //!                       [--source-dir PATH] [--ast-filter]
-//! leakprofd status      (--history PATH | --addr HOST:PORT [--addr ...])
+//! leakprofd status      --addr HOST:PORT [--addr ...]
 //! leakprofd top         --addr HOST:PORT [--addr ...] [--refresh-ms MS]
 //!                       [--frames N]
 //! leakprofd trace       --addr HOST:PORT [--out PATH]
@@ -23,9 +22,7 @@
 //!                       [--from N --to N] [--self]
 //! leakprofd recover     --state-dir PATH [--threshold T] [--top N]
 //!                       [--source-dir PATH]
-//! leakprofd backtest    (--state-dir PATH | --history PATH) [--out DIR]
-//!                       [--week-len N] [--top N]
-//! leakprofd migrate-history --history PATH --state-dir PATH
+//! leakprofd backtest    --state-dir PATH [--out DIR] [--week-len N] [--top N]
 //! leakprofd merge       --state-dir PATH [--state-dir ...] [--out DIR]
 //!                       [--threshold T] [--top N]
 //! leakprofd fleet       --shard-addr HOST:PORT [--shard-addr ...]
@@ -63,7 +60,8 @@
 //! * `scrape-once` runs exactly one scatter-gather cycle — against
 //!   `--addr` if given, otherwise against a freshly built demo fleet —
 //!   and prints the ranked report plus scrape-health stats.
-//! * `status` summarizes a history JSONL written with `--history`.
+//! * `status` polls one or more serving daemons (or a fleet aggregator)
+//!   and renders per-shard rows above the merged ranking.
 //! * `top` polls a serving daemon's `/status` and renders a live text
 //!   dashboard: cycle counters, per-stage latency quantiles, breaker
 //!   and keep-alive pool state, and the current top suspects.
@@ -80,15 +78,11 @@
 //! * `recover` inspects a state directory offline: what a restarting
 //!   daemon would reconstruct (snapshot + WAL replay), the ranking it
 //!   would resume with, and the report ledger.
-//! * `backtest` replays a persisted telemetry store (`--state-dir`) or
-//!   a raw cycle history (`--history`) offline into weekly per-site
-//!   trend tables — the same classification path as the live
-//!   `/health`, so verdicts reproduce exactly. `--out DIR` also writes
-//!   `report.txt`, `weekly_rms.csv`, and `verdicts.csv`.
-//! * `migrate-history` backfills a history JSONL into the telemetry
-//!   store under `--state-dir`, so backtests cover cycles recorded
-//!   before the store existed. Idempotent: already-migrated cycles are
-//!   skipped.
+//! * `backtest` replays the telemetry store a daemon persisted under
+//!   `--state-dir` offline into weekly per-site trend tables — the same
+//!   classification path as the live `/health`, so verdicts reproduce
+//!   exactly. `--out DIR` also writes `report.txt`, `weekly_rms.csv`,
+//!   and `verdicts.csv`.
 //! * **Sharded collection**: `serve --shard I/N` scrapes only the slice
 //!   a deterministic rendezvous map assigns seat I (from `--shard-map`
 //!   when given, else the canonical N-seat map), tagging its state dir
@@ -133,12 +127,11 @@ use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 
 use collector::{
-    backtest_history, backtest_store, load_jsonl, merge_state_dirs, migrate_history, render_table,
-    run_chaos, serve_daemon_endpoints_with, serve_fleet_endpoints, write_merged, write_report,
-    AdaptiveConfig, ApiSnapshot, BacktestConfig, ChaosConfig, ChaosPlanConfig, CycleRecord, Daemon,
-    DaemonConfig, DemoFleet, FleetAggregator, FleetConfig, FleetHealth, HistoryLog, MergeConfig,
-    ProfileHub, PushClient, PushConfig, PushError, ReportLedger, ScrapeConfig, ScrapeTarget,
-    ShardSpec, SnapshotStore, WatermarkTrigger,
+    backtest_store, merge_state_dirs, render_table, run_chaos, serve_daemon_endpoints_with,
+    serve_fleet_endpoints, write_merged, write_report, AdaptiveConfig, ApiSnapshot, BacktestConfig,
+    ChaosConfig, ChaosPlanConfig, Daemon, DaemonConfig, DemoFleet, FleetAggregator, FleetConfig,
+    FleetHealth, MergeConfig, ProfileHub, PushClient, PushConfig, PushError, ReportLedger,
+    ScrapeConfig, ScrapeTarget, ShardSpec, SnapshotStore, WatermarkTrigger,
 };
 use leaklab_cli::{flag, flags_all, split_flags};
 use leakprof::FleetAccumulator;
@@ -161,7 +154,6 @@ fn main() -> ExitCode {
         "flame" => flame_cmd(&flags),
         "recover" => recover(&flags),
         "backtest" => backtest(&flags),
-        "migrate-history" => migrate(&flags),
         "merge" => merge_cmd(&flags),
         "fleet" => fleet_cmd(&flags),
         "chaos" => chaos(&flags),
@@ -176,9 +168,9 @@ fn main() -> ExitCode {
 
 fn usage() {
     eprintln!(
-        "usage: leakprofd <serve|scrape-once|status|top|trace|flame|recover|backtest|migrate-history|merge|fleet|chaos|push|racecheck> [flags]\n\
+        "usage: leakprofd <serve|scrape-once|status|top|trace|flame|recover|backtest|merge|fleet|chaos|push|racecheck> [flags]\n\
          \x20 serve       [--instances N] [--days D] [--seed S] [--port P] [--cycles N]\n\
-         \x20             [--interval-ms MS] [--threshold T] [--top N] [--history PATH] [--keep N]\n\
+         \x20             [--interval-ms MS] [--threshold T] [--top N]\n\
          \x20             [--state-dir PATH] [--snapshot-every N] [--source-dir PATH] [--ast-filter]\n\
          \x20             [--race-dir PATH]\n\
          \x20             [--adaptive] [--interval-min-ms MS] [--interval-max-ms MS]\n\
@@ -187,14 +179,13 @@ fn usage() {
          \x20             [--http-workers N] [--tail-sample]\n\
          \x20 scrape-once [--addr HOST:PORT] [--instances N] [--days D] [--seed S]\n\
          \x20             [--threshold T] [--top N] [--workers N] [--source-dir PATH] [--ast-filter]\n\
-         \x20 status      (--history PATH | --addr HOST:PORT [--addr ...]) [--threshold T] [--top N]\n\
+         \x20 status      --addr HOST:PORT [--addr ...] [--threshold T] [--top N]\n\
          \x20 top         --addr HOST:PORT [--addr ...] [--refresh-ms MS] [--frames N]\n\
          \x20             [--threshold T] [--top N]\n\
          \x20 trace       --addr HOST:PORT [--addr ...] [--out PATH]\n\
          \x20 flame       --addr HOST:PORT [--out PATH] [--txt] [--from N --to N] [--self]\n\
          \x20 recover     --state-dir PATH [--threshold T] [--top N] [--source-dir PATH]\n\
-         \x20 backtest    (--state-dir PATH | --history PATH) [--out DIR] [--week-len N] [--top N]\n\
-         \x20 migrate-history --history PATH --state-dir PATH\n\
+         \x20 backtest    --state-dir PATH [--out DIR] [--week-len N] [--top N]\n\
          \x20 merge       --state-dir PATH [--state-dir ...] [--out DIR] [--threshold T] [--top N]\n\
          \x20 fleet       --shard-addr HOST:PORT [--shard-addr ...] [--port P] [--interval-ms MS]\n\
          \x20             [--polls N] [--shards N | --shard-map PATH] [--out-map PATH]\n\
@@ -444,7 +435,6 @@ fn serve(flags: &[(String, String)]) -> ExitCode {
     let cycles: u64 = parsed(flags, "cycles", 0);
     let interval_ms: u64 = parsed(flags, "interval-ms", 1000);
     let port: u16 = parsed(flags, "port", 0);
-    let keep: usize = parsed(flags, "keep", 500);
 
     let ast_filter: bool = parsed(flags, "ast-filter", false);
     let state_dir = flag(flags, "state-dir").map(std::path::PathBuf::from);
@@ -486,8 +476,6 @@ fn serve(flags: &[(String, String)]) -> ExitCode {
             keepalive: parsed(flags, "keepalive", true),
             ..ScrapeConfig::default()
         },
-        history_path: flag(flags, "history").map(std::path::PathBuf::from),
-        history_keep: keep,
         state_dir,
         snapshot_every: parsed(flags, "snapshot-every", 5u64).max(1),
         trace: obs::TraceConfig {
@@ -628,71 +616,23 @@ fn serve(flags: &[(String, String)]) -> ExitCode {
 
 fn status(flags: &[(String, String)]) -> ExitCode {
     let addr_values = flags_all(flags, "addr");
-    if !addr_values.is_empty() {
-        let addrs = match parse_addrs(&addr_values, "addr") {
-            Ok(a) => a,
-            Err(code) => return code,
-        };
-        let peeks: Vec<ShardPeek> = addrs.into_iter().map(peek_shard).collect();
-        print!(
-            "{}",
-            render_overview(
-                &peeks,
-                parsed(flags, "threshold", 40),
-                parsed(flags, "top", 10),
-            )
-        );
-        return ExitCode::SUCCESS;
-    }
-    let Some(path) = flag(flags, "history") else {
-        eprintln!("usage: leakprofd status (--history PATH | --addr HOST:PORT [--addr ...])");
+    if addr_values.is_empty() {
+        eprintln!("usage: leakprofd status --addr HOST:PORT [--addr ...]");
         return ExitCode::from(2);
-    };
-    let log = match HistoryLog::open(path, 1) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("error: cannot open {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let records = match log.load() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if records.is_empty() {
-        println!("no cycles recorded in {path}");
-        return ExitCode::SUCCESS;
     }
-    let last = records.last().expect("nonempty");
-    println!("{} cycle(s) on record; latest:", records.len());
-    println!(
-        "  cycle {}: {} profiles, {} failures, {} retries, {:.1} ms; latency p50 {} µs p99 {} µs",
-        last.cycle,
-        last.profiles,
-        last.failures,
-        last.retries,
-        last.wall_ms,
-        last.p50_us,
-        last.p99_us
+    let addrs = match parse_addrs(&addr_values, "addr") {
+        Ok(a) => a,
+        Err(code) => return code,
+    };
+    let peeks: Vec<ShardPeek> = addrs.into_iter().map(peek_shard).collect();
+    print!(
+        "{}",
+        render_overview(
+            &peeks,
+            parsed(flags, "threshold", 40),
+            parsed(flags, "top", 10),
+        )
     );
-    if last.top.is_empty() {
-        println!("  no suspects at latest cycle");
-    } else {
-        println!("  top sites:");
-        for (i, t) in last.top.iter().enumerate() {
-            println!(
-                "    #{} {} (rms {:.1}, total {}, max-instance {})",
-                i + 1,
-                t.op,
-                t.rms,
-                t.total,
-                t.max_instance
-            );
-        }
-    }
     ExitCode::SUCCESS
 }
 
@@ -1289,43 +1229,22 @@ fn backtest(flags: &[(String, String)]) -> ExitCode {
         top: parsed(flags, "top", 0usize),
         ..BacktestConfig::default()
     };
-    let report = match (flag(flags, "state-dir"), flag(flags, "history")) {
-        (Some(dir), _) => {
-            // The store a serving daemon persisted under --state-dir.
-            let ts = match timeseries::TsStore::open(
-                std::path::Path::new(dir).join("ts"),
-                Default::default(),
-            ) {
-                Ok(ts) => ts,
-                Err(e) => {
-                    eprintln!("error: cannot open telemetry store under {dir}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            backtest_store(&ts, &config)
-        }
-        (None, Some(path)) => {
-            // A raw cycle history, replayed through an in-memory store.
-            let load = match load_jsonl::<CycleRecord>(std::path::Path::new(path)) {
-                Ok(l) => l,
-                Err(e) => {
-                    eprintln!("error: cannot read {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            if let Some(e) = &load.dropped_trailing {
-                eprintln!("warning: discarded torn trailing history line: {e}");
-            }
-            backtest_history(&load.records, Default::default(), &config)
-        }
-        (None, None) => {
-            eprintln!(
-                "usage: leakprofd backtest (--state-dir PATH | --history PATH) [--out DIR] \
-                 [--week-len N] [--top N]"
-            );
-            return ExitCode::from(2);
-        }
+    let Some(dir) = flag(flags, "state-dir") else {
+        eprintln!(
+            "usage: leakprofd backtest --state-dir PATH [--out DIR] [--week-len N] [--top N]"
+        );
+        return ExitCode::from(2);
     };
+    // The store a serving daemon persisted under --state-dir.
+    let ts =
+        match timeseries::TsStore::open(std::path::Path::new(dir).join("ts"), Default::default()) {
+            Ok(ts) => ts,
+            Err(e) => {
+                eprintln!("error: cannot open telemetry store under {dir}: {e}");
+                return ExitCode::from(2);
+            }
+        };
+    let report = backtest_store(&ts, &config);
     print!("{}", render_table(&report));
     if let Some(out) = flag(flags, "out") {
         let out = std::path::Path::new(out);
@@ -1338,49 +1257,6 @@ fn backtest(flags: &[(String, String)]) -> ExitCode {
             out.display()
         );
     }
-    ExitCode::SUCCESS
-}
-
-/// Backfills a history JSONL into the durable telemetry store, so
-/// backtests cover cycles recorded before the store existed.
-fn migrate(flags: &[(String, String)]) -> ExitCode {
-    let (Some(path), Some(dir)) = (flag(flags, "history"), flag(flags, "state-dir")) else {
-        eprintln!("usage: leakprofd migrate-history --history PATH --state-dir PATH");
-        return ExitCode::from(2);
-    };
-    let load = match load_jsonl::<CycleRecord>(std::path::Path::new(path)) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(e) = &load.dropped_trailing {
-        eprintln!("warning: discarded torn trailing history line (not migrated): {e}");
-    }
-    let mut ts =
-        match timeseries::TsStore::open(std::path::Path::new(dir).join("ts"), Default::default()) {
-            Ok(ts) => ts,
-            Err(e) => {
-                eprintln!("error: cannot open telemetry store under {dir}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-    let (appended, skipped) = match migrate_history(&load.records, &mut ts) {
-        Ok(counts) => counts,
-        Err(e) => {
-            eprintln!("error: migration failed: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Err(e) = ts.flush() {
-        eprintln!("error: cannot flush telemetry store: {e}");
-        return ExitCode::from(2);
-    }
-    println!(
-        "migrated {} cycle(s) into {dir}/ts ({} already present or out of order)",
-        appended, skipped
-    );
     ExitCode::SUCCESS
 }
 

@@ -1,7 +1,6 @@
-//! Offline backtest: replay the persisted telemetry store — or a JSONL
-//! cycle history migrated into one — into weekly per-site trend tables
-//! (the paper's Fig. 5/6 shape: impact per site per week, with a
-//! verdict column).
+//! Offline backtest: replay the persisted telemetry store into weekly
+//! per-site trend tables (the paper's Fig. 5/6 shape: impact per site
+//! per week, with a verdict column).
 //!
 //! The verdicts come from [`crate::health::classify_sites`], the exact
 //! function the live daemon serves at `/health`. Because the store's
@@ -10,10 +9,9 @@
 //! classification byte-for-byte — including across a `kill -9`.
 
 use serde::{Deserialize, Serialize};
-use timeseries::{StoreConfig, TrendConfig, TsStore};
+use timeseries::{TrendConfig, TsStore};
 
 use crate::health::{classify_sites, SiteHealth};
-use crate::history::CycleRecord;
 
 use leakprof::series as sid;
 
@@ -149,56 +147,6 @@ pub fn backtest_store(ts: &TsStore, config: &BacktestConfig) -> BacktestReport {
     }
 }
 
-/// Migrates JSONL cycle-history records into a telemetry store: each
-/// record's top sites append their RMS/total at `t = record.cycle`,
-/// plus the cycle wall time. Records at or behind a series' newest
-/// time are skipped (re-running a migration is idempotent). Returns
-/// `(appended, skipped)`.
-///
-/// # Errors
-///
-/// IO errors from the store's WAL.
-pub fn migrate_history(records: &[CycleRecord], ts: &mut TsStore) -> std::io::Result<(u64, u64)> {
-    let mut appended = 0;
-    let mut skipped = 0;
-    let migrated_floor = ts.last_t(sid::CYCLE_WALL_MS_ID);
-    for r in records {
-        // The wall-ms series sees every cycle, so its newest time is
-        // the high-water mark of previous migrations/live recording.
-        if migrated_floor.is_some_and(|t| r.cycle <= t) {
-            skipped += 1;
-            continue;
-        }
-        let mut owned: Vec<(String, f64)> = Vec::new();
-        for site in &r.top {
-            owned.push((sid::site_rms_id(&site.op), site.rms));
-            owned.push((sid::site_total_id(&site.op), site.total as f64));
-        }
-        owned.push((sid::CYCLE_WALL_MS_ID.to_string(), r.wall_ms));
-        let points: Vec<(&str, f64)> = owned.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        match ts.append(r.cycle, &points) {
-            Ok(()) => appended += 1,
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => skipped += 1,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok((appended, skipped))
-}
-
-/// Convenience: migrate history into a fresh in-memory store and
-/// backtest it (`leakprofd backtest --history`).
-pub fn backtest_history(
-    records: &[CycleRecord],
-    store: StoreConfig,
-    config: &BacktestConfig,
-) -> BacktestReport {
-    let mut ts = TsStore::in_memory(store);
-    // In-memory appends only fail on out-of-order input, which
-    // migrate_history converts to skips.
-    let _ = migrate_history(records, &mut ts);
-    backtest_store(&ts, config)
-}
-
 /// Renders the weekly table as aligned text (stdout / report.txt).
 pub fn render_table(report: &BacktestReport) -> String {
     use std::fmt::Write as _;
@@ -316,41 +264,21 @@ pub fn write_report(report: &BacktestReport, out_dir: &std::path::Path) -> std::
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::TopSite;
-
-    fn record(cycle: u64, sites: &[(&str, f64, u64)]) -> CycleRecord {
-        CycleRecord {
-            cycle,
-            profiles: 3,
-            failures: 0,
-            retries: 0,
-            wall_ms: 1.0,
-            p50_us: 10,
-            p99_us: 20,
-            top: sites
-                .iter()
-                .map(|(op, rms, total)| TopSite {
-                    op: op.to_string(),
-                    rms: *rms,
-                    total: *total,
-                    max_instance: *total,
-                })
-                .collect(),
-        }
-    }
+    use timeseries::StoreConfig;
 
     #[test]
     fn weekly_buckets_and_verdicts() {
         // 21 cycles = 3 weeks; "leaky" ramps, "quiet" stays flat.
-        let records: Vec<CycleRecord> = (1..=21)
-            .map(|c| {
-                record(
-                    c,
-                    &[("leaky", (c * 10) as f64, c * 10), ("quiet", 50.0, 50)],
-                )
-            })
-            .collect();
-        let report = backtest_history(&records, StoreConfig::default(), &BacktestConfig::default());
+        let mut ts = TsStore::in_memory(StoreConfig::default());
+        let (leaky, quiet) = (sid::site_rms_id("leaky"), sid::site_rms_id("quiet"));
+        for c in 1..=21u64 {
+            ts.append(
+                c,
+                &[(leaky.as_str(), (c * 10) as f64), (quiet.as_str(), 50.0)],
+            )
+            .unwrap();
+        }
+        let report = backtest_store(&ts, &BacktestConfig::default());
         assert_eq!(report.weeks, 3);
         assert_eq!(report.sites.len(), 2);
         assert_eq!(report.sites[0].fingerprint, "leaky");
@@ -365,17 +293,6 @@ mod tests {
         let csv = render_weekly_csv(&report);
         assert!(csv.starts_with("site,verdict,week_0_mean_rms"), "{csv}");
         assert!(csv.contains("leaky,regressing,40"), "{csv}");
-    }
-
-    #[test]
-    fn migration_is_idempotent() {
-        let records: Vec<CycleRecord> = (1..=10).map(|c| record(c, &[("a", 5.0, 5)])).collect();
-        let mut ts = TsStore::in_memory(StoreConfig::default());
-        let (appended, skipped) = migrate_history(&records, &mut ts).unwrap();
-        assert_eq!((appended, skipped), (10, 0));
-        let (appended, skipped) = migrate_history(&records, &mut ts).unwrap();
-        assert_eq!((appended, skipped), (0, 10));
-        assert_eq!(ts.query("site_rms:a", 0, u64::MAX, Some(1)).len(), 10);
     }
 
     #[test]

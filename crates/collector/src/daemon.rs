@@ -1,6 +1,6 @@
 //! The `leakprofd` daemon core: scrape cycles feeding a streaming
-//! LeakProf accumulator, with history, health counters, and its own
-//! `/metrics` + `/status` endpoints.
+//! LeakProf accumulator, with health counters and its own `/metrics` +
+//! `/status` endpoints.
 //!
 //! With a `state_dir` configured the daemon is **crash-safe**: every
 //! cycle's profiles hit a write-ahead log before ingestion, the
@@ -24,7 +24,6 @@ use crate::adaptive::{AdaptiveConfig, AdaptiveController, AdaptiveStatus, Direct
 use crate::breaker::{BreakerConfig, BreakerSet, BreakerSummary};
 use crate::endpoints::ProfileHub;
 use crate::health::{classify_sites, FleetHealth};
-use crate::history::{CycleRecord, HistoryLog, TopSite};
 use crate::http::{HttpServer, Request, Response, ServerOptions};
 use crate::ingest::{dedupe_newest_wins, AbsorbedProfile, IngestConfig, IngestSummary, IngestTier};
 use crate::ledger::{CycleOutcome, LedgerConfig, LedgerSummary, ReportLedger};
@@ -41,10 +40,6 @@ use shardmap::ShardIdentity;
 pub struct DaemonConfig {
     /// Scraper tuning.
     pub scrape: ScrapeConfig,
-    /// Where to persist cycle history (`None` disables persistence).
-    pub history_path: Option<std::path::PathBuf>,
-    /// Records retained across history compactions.
-    pub history_keep: usize,
     /// Directory for durable state (snapshot + WAL + ledger). `None`
     /// runs fully in-memory, as before.
     pub state_dir: Option<std::path::PathBuf>,
@@ -93,8 +88,6 @@ impl Default for DaemonConfig {
     fn default() -> Self {
         DaemonConfig {
             scrape: ScrapeConfig::default(),
-            history_path: None,
-            history_keep: 0,
             state_dir: None,
             snapshot_every: 5,
             breaker: BreakerConfig::default(),
@@ -176,6 +169,34 @@ impl Drop for Reaper {
     }
 }
 
+/// One ranked site in a status document: a compact projection of
+/// [`leakprof::SiteStats`].
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct TopSite {
+    /// Rendered blocking operation, e.g. `send at pay/handler.go:10`.
+    pub op: String,
+    /// Fleet-wide RMS impact.
+    pub rms: f64,
+    /// Total blocked goroutines across instances.
+    pub total: u64,
+    /// Largest single-instance count.
+    pub max_instance: u64,
+}
+
+/// Projects a report's suspects into [`TopSite`] rows, in rank order.
+pub fn top_sites(report: &Report) -> Vec<TopSite> {
+    report
+        .suspects
+        .iter()
+        .map(|s| TopSite {
+            op: s.stats.op.to_string(),
+            rms: s.stats.rms,
+            total: s.stats.total,
+            max_instance: s.stats.max_instance,
+        })
+        .collect()
+}
+
 /// A machine-readable status snapshot (served at `/status` and printed
 /// by `leakprofd status`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -223,13 +244,12 @@ pub struct DaemonStatus {
 }
 
 /// The collection daemon: owns the scraper, the streaming analysis
-/// state, the durability machinery, and the history log.
+/// state, and the durability machinery.
 pub struct Daemon {
     lp: LeakProf,
     acc: FleetAccumulator,
     scraper: Scraper,
     targets: Vec<ScrapeTarget>,
-    history: Option<HistoryLog>,
     health: HealthCounters,
     last_report: Option<Report>,
     breakers: BreakerSet,
@@ -262,8 +282,8 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// Returns an IO error if the history log or state directory cannot
-    /// be opened, or if durable state exists but is unreadable
+    /// Returns an IO error if the state directory cannot be opened, or
+    /// if durable state exists but is unreadable
     /// (mid-file corruption, unsupported version).
     pub fn new(
         config: DaemonConfig,
@@ -289,10 +309,6 @@ impl Daemon {
         tracer.set_service(&service, env!("CARGO_PKG_VERSION"));
         let events = obs::EventLog::new(config.events.clone());
         let board = WorkerBoard::new();
-        let history = match &config.history_path {
-            Some(path) => Some(HistoryLog::open(path, config.history_keep.max(1))?),
-            None => None,
-        };
         let mut acc = FleetAccumulator::new();
         let mut health = HealthCounters::default();
         let mut recovered_cycle = 0;
@@ -365,7 +381,6 @@ impl Daemon {
             acc,
             scraper,
             targets,
-            history,
             health,
             last_report: None,
             breakers: BreakerSet::new(config.breaker),
@@ -565,24 +580,6 @@ impl Daemon {
             Err(e) => self
                 .events
                 .error("daemon", format!("ledger save failed: {e}")),
-        }
-        if let Some(history) = &mut self.history {
-            let mut span = self.tracer.start(obs::stage::HISTORY, "");
-            let record = CycleRecord {
-                cycle: self.health.cycles,
-                profiles: report.stats.succeeded,
-                failures: report.stats.failed,
-                retries: report.stats.retries,
-                wall_ms: report.stats.wall_ms,
-                p50_us: report.stats.latency.p50_us(),
-                p99_us: report.stats.latency.p99_us(),
-                top: top_sites(&analysis),
-            };
-            span.attr("top", record.top.len());
-            if let Err(e) = history.append(&record) {
-                self.events
-                    .error("daemon", format!("history append failed: {e}"));
-            }
         }
         if self.telemetry {
             self.observe_fleet(cycle, &report, &profiles, &analysis);
@@ -1247,20 +1244,6 @@ impl Daemon {
         }
         p.finish()
     }
-}
-
-/// Projects a report's suspects into compact history entries.
-fn top_sites(report: &Report) -> Vec<TopSite> {
-    report
-        .suspects
-        .iter()
-        .map(|s| TopSite {
-            op: s.stats.op.to_string(),
-            rms: s.stats.rms,
-            total: s.stats.total,
-            max_instance: s.stats.max_instance,
-        })
-        .collect()
 }
 
 /// The instance id the daemon serves its own self-profile under.

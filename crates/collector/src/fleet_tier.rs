@@ -25,8 +25,8 @@ use obs::{EventConfig, EventLog, TraceConfig, TraceSnapshot, Tracer};
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveController};
 use crate::breaker::{BreakerConfig, BreakerSet, BreakerState, Decision};
+use crate::daemon::{top_sites, TopSite};
 use crate::health::{classify_sites, FleetHealth};
-use crate::history::TopSite;
 use crate::http::{http_get, HttpConnection, HttpServer, Request, Response};
 use crate::ledger::{LedgerConfig, LedgerSummary, ReportLedger};
 use crate::shard::{ApiSnapshot, API_SNAPSHOT_VERSION};
@@ -463,21 +463,7 @@ impl FleetAggregator {
             rebalances: self.rebalances,
             profiles_ingested: self.acc.profiles_ingested(),
             goroutines_seen: self.acc.goroutines_seen(),
-            top: self
-                .last_report
-                .as_ref()
-                .map(|r| {
-                    r.suspects
-                        .iter()
-                        .map(|s| TopSite {
-                            op: s.stats.op.to_string(),
-                            rms: s.stats.rms,
-                            total: s.stats.total,
-                            max_instance: s.stats.max_instance,
-                        })
-                        .collect()
-                })
-                .unwrap_or_default(),
+            top: self.last_report.as_ref().map(top_sites).unwrap_or_default(),
             ledger: self.ledger.summary(),
             shards,
         }

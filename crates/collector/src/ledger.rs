@@ -16,12 +16,11 @@
 //! * Operators can [`ReportLedger::acknowledge`] at a higher RMS to
 //!   raise the re-page bar without waiting for a new episode.
 //!
-//! The ledger persists itself (temp file + rename) on every mutation, so
+//! The ledger persists itself ([`durable::write_atomic`]) on every mutation, so
 //! a daemon crash never forgets what was already acknowledged — restart
 //! must not re-page the whole fleet (`tests/chaos.rs` asserts this).
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use leakprof::Suspect;
@@ -174,14 +173,7 @@ impl ReportLedger {
     pub fn open(path: impl AsRef<Path>, config: LedgerConfig) -> std::io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut ledger = ReportLedger::new(config);
-        if path.exists() {
-            let text = std::fs::read_to_string(&path)?;
-            let file: LedgerFile = serde_json::from_str(&text).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("{}: corrupt ledger: {e}", path.display()),
-                )
-            })?;
+        if let Some(file) = durable::read_json::<LedgerFile>(&path)? {
             if file.version != LEDGER_VERSION {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
@@ -413,8 +405,7 @@ impl ReportLedger {
         }
     }
 
-    /// Writes the ledger atomically (temp file + rename). No-op for
-    /// in-memory ledgers.
+    /// Writes the ledger atomically. No-op for in-memory ledgers.
     fn save(&self) -> std::io::Result<()> {
         let Some(path) = &self.path else {
             return Ok(());
@@ -425,19 +416,8 @@ impl ReportLedger {
             suppressed_total: self.suppressed_total,
             entries: self.entries.values().cloned().collect(),
         };
-        let tmp = path.with_extension("json.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(
-                serde_json::to_string_pretty(&file)
-                    .expect("ledger serializes")
-                    .as_bytes(),
-            )?;
-            f.flush()?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        let text = serde_json::to_string_pretty(&file).expect("ledger serializes");
+        durable::write_atomic(path, text.as_bytes())
     }
 }
 

@@ -25,10 +25,9 @@
 //! * [`breaker`] — per-target circuit breakers quarantining dead
 //!   instances, with decaying half-open probes.
 //! * [`stats`] — scrape-health counters and latency histograms.
-//! * [`history`] — JSONL cycle history with compaction and
-//!   torn-trailing-line recovery.
-//! * [`snapshot`] — durable accumulator snapshots + a write-ahead log;
-//!   recovery is ranking-exact after a crash.
+//! * [`snapshot`] — durable accumulator snapshots + a write-ahead log
+//!   on the [`durable`] primitives; recovery is ranking-exact after a
+//!   crash.
 //! * [`ledger`] — persistent report cool-down: one page per regression
 //!   episode, re-opened only when RMS beats the acknowledged level.
 //! * [`static_tier`] — persistent, content-addressed criterion-2
@@ -40,9 +39,9 @@
 //!   merge into the same ranking/ledger pipeline as leaks.
 //! * [`health`] — per-site trend verdicts over the embedded
 //!   [`timeseries`] store (the `/health` document and sparklines).
-//! * [`backtest`] — offline replay of the persisted store (or a JSONL
-//!   history) into weekly per-site trend tables and CSVs, using the
-//!   same classification path as the live `/health`.
+//! * [`backtest`] — offline replay of the persisted telemetry store
+//!   into weekly per-site trend tables and CSVs, using the same
+//!   classification path as the live `/health`.
 //! * [`adaptive`] — trend-driven scrape-interval controller: backs off
 //!   while the fleet is quiet, tightens when the top-K changes or a
 //!   site's RMS slope/z-score fires.
@@ -81,7 +80,6 @@ pub mod endpoints;
 pub mod flame;
 pub mod fleet_tier;
 pub mod health;
-pub mod history;
 pub mod http;
 pub mod ingest;
 pub mod ledger;
@@ -96,14 +94,14 @@ pub mod stats;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveController, AdaptiveStatus, Decision, Direction};
 pub use backtest::{
-    backtest_history, backtest_store, migrate_history, render_table, render_verdicts_csv,
-    render_weekly_csv, write_report, BacktestConfig, BacktestReport, WeeklySite,
+    backtest_store, render_table, render_verdicts_csv, render_weekly_csv, write_report,
+    BacktestConfig, BacktestReport, WeeklySite,
 };
 pub use breaker::{BreakerConfig, BreakerSet, BreakerState, BreakerSummary, QuarantinedTarget};
 pub use chaos::{run_chaos, ChaosConfig, ChaosFault, ChaosOutcome, ChaosPlan, ChaosPlanConfig};
 pub use daemon::{
-    daemon_routes, serve_daemon_endpoints, serve_daemon_endpoints_with, Daemon, DaemonConfig,
-    DaemonStatus, SeriesResponse, SELF_INSTANCE,
+    daemon_routes, serve_daemon_endpoints, serve_daemon_endpoints_with, top_sites, Daemon,
+    DaemonConfig, DaemonStatus, SeriesResponse, TopSite, SELF_INSTANCE,
 };
 pub use demo::DemoFleet;
 pub use endpoints::{Fault, ProfileHub};
@@ -114,7 +112,6 @@ pub use fleet_tier::{
     fleet_routes, serve_fleet_endpoints, FleetAggregator, FleetConfig, FleetStatus, PeerStatus,
 };
 pub use health::{classify_sites, sparkline, FleetHealth, SiteHealth, SPARK_POINTS};
-pub use history::{load_jsonl, CycleRecord, HistoryLog, JsonlLoad, TopSite};
 pub use http::{
     http_get, http_get_with, http_post, http_post_with, HttpError, HttpServer, Request, Response,
     ResponseFault, ResponseMeta, ServerOptions,
@@ -144,4 +141,4 @@ pub use shard::{
 };
 pub use snapshot::{DaemonSnapshot, Recovery, SnapshotStore, WalEntry, DAEMON_SNAPSHOT_VERSION};
 pub use static_tier::{StaticTier, StaticTierConfig, StaticTierStats, VERDICT_CACHE_VERSION};
-pub use stats::{CycleStats, HealthCounters, LatencyHistogram, PromText};
+pub use stats::{CycleStats, HealthCounters, PromText};

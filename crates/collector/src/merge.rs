@@ -213,7 +213,7 @@ pub fn write_merged(
         health: merged.health.clone(),
     })?;
     let flame = crate::flame::build_flame(&snap, crate::flame::live_weight);
-    std::fs::write(out.join("flame.txt"), flame.to_folded())?;
+    durable::write_atomic(&out.join("flame.txt"), flame.to_folded().as_bytes())?;
     let mut out_ledger = ReportLedger::open(out.join("ledger.json"), config.ledger.clone())?;
     out_ledger.merge_from(&merged.ledger)?;
     let mut out_ts = TsStore::open(out.join("ts"), config.ts.clone())?;

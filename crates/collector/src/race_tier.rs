@@ -103,14 +103,12 @@ impl RaceTier {
     ///
     /// Returns an IO error if the cache file exists but cannot be read.
     pub fn open(config: RaceTierConfig) -> io::Result<RaceTier> {
-        let cached = match std::fs::read_to_string(&config.cache_path) {
-            Ok(text) => match serde_json::from_str::<CacheFile>(&text) {
-                Ok(c) if c.version == RACE_CACHE_VERSION => {
-                    Some((c.fingerprint, c.compiled, c.suspects))
-                }
-                _ => None,
-            },
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+        let cached = match durable::read_json::<CacheFile>(&config.cache_path) {
+            Ok(Some(c)) if c.version == RACE_CACHE_VERSION => {
+                Some((c.fingerprint, c.compiled, c.suspects))
+            }
+            Ok(_) => None,
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => None,
             Err(e) => return Err(e),
         };
         Ok(RaceTier {
@@ -174,7 +172,7 @@ impl RaceTier {
         &self.config.cache_path
     }
 
-    /// Writes the cache atomically (temp file + rename).
+    /// Writes the cache atomically.
     fn persist(&self) -> io::Result<()> {
         let Some((fingerprint, compiled, suspects)) = &self.cached else {
             return Ok(());
@@ -189,9 +187,7 @@ impl RaceTier {
             suspects: suspects.clone(),
         };
         let text = serde_json::to_string_pretty(&cache).expect("cache serializes");
-        let tmp = self.config.cache_path.with_extension("json.tmp");
-        std::fs::write(&tmp, text)?;
-        std::fs::rename(&tmp, &self.config.cache_path)
+        durable::write_atomic(&self.config.cache_path, text.as_bytes())
     }
 }
 

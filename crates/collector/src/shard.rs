@@ -76,12 +76,8 @@ pub struct ApiSnapshot {
 ///
 /// Propagates filesystem errors.
 pub fn write_tag(dir: &Path, identity: &ShardIdentity) -> std::io::Result<()> {
-    let tmp = dir.join(format!("{SHARD_TAG_FILE}.tmp"));
-    std::fs::write(
-        &tmp,
-        serde_json::to_string_pretty(identity).expect("identity serializes"),
-    )?;
-    std::fs::rename(&tmp, dir.join(SHARD_TAG_FILE))
+    let text = serde_json::to_string_pretty(identity).expect("identity serializes");
+    durable::write_atomic(&dir.join(SHARD_TAG_FILE), text.as_bytes())
 }
 
 /// Reads the shard tag from `dir`, if present.
@@ -91,17 +87,7 @@ pub fn write_tag(dir: &Path, identity: &ShardIdentity) -> std::io::Result<()> {
 /// Propagates filesystem errors; a corrupt tag surfaces as
 /// [`std::io::ErrorKind::InvalidData`].
 pub fn read_tag(dir: &Path) -> std::io::Result<Option<ShardIdentity>> {
-    let path = dir.join(SHARD_TAG_FILE);
-    if !path.exists() {
-        return Ok(None);
-    }
-    let text = std::fs::read_to_string(&path)?;
-    serde_json::from_str(&text).map(Some).map_err(|e| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("{}: corrupt shard tag: {e}", path.display()),
-        )
-    })
+    durable::read_json(&dir.join(SHARD_TAG_FILE))
 }
 
 /// Validates that `dir` may be (re)used by a daemon with `identity`

@@ -6,8 +6,8 @@
 //! 1. Every cycle's scraped profiles are appended to `wal.jsonl`
 //!    **before** they are ingested into the accumulator.
 //! 2. Every `snapshot_every` cycles the full accumulator state is
-//!    written to `snapshot.json` via temp-file + rename, then the WAL is
-//!    truncated.
+//!    written to `snapshot.json` with [`durable::write_atomic`], then the
+//!    WAL is truncated.
 //! 3. Recovery loads the snapshot (if any) and replays WAL entries with
 //!    `cycle > snapshot.cycle`. The filter makes a crash *between* the
 //!    rename and the truncate harmless: stale WAL entries are simply
@@ -18,14 +18,13 @@
 //! exact profiles, a recovered daemon produces **byte-identical** ranked
 //! reports to one that never crashed (see `tests/chaos.rs`).
 
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use durable::{AppendLog, SyncMode};
 use gosim::GoroutineProfile;
 use leakprof::AccumulatorSnapshot;
 use serde::{Deserialize, Serialize};
 
-use crate::history::load_jsonl;
 use crate::stats::{CycleStats, HealthCounters};
 
 /// Version tag written into every daemon snapshot. Bump on any layout
@@ -89,6 +88,7 @@ impl Recovery {
 /// Manages `snapshot.json` + `wal.jsonl` inside a state directory.
 pub struct SnapshotStore {
     dir: PathBuf,
+    wal: AppendLog,
     tracer: obs::Tracer,
 }
 
@@ -110,6 +110,7 @@ impl SnapshotStore {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         Ok(SnapshotStore {
+            wal: AppendLog::open(dir.join("wal.jsonl"), SyncMode::Data),
             dir,
             tracer: obs::Tracer::disabled(),
         })
@@ -128,10 +129,10 @@ impl SnapshotStore {
 
     /// Path of the write-ahead log.
     pub fn wal_path(&self) -> PathBuf {
-        self.dir.join("wal.jsonl")
+        self.wal.path().to_path_buf()
     }
 
-    /// Appends one WAL entry and flushes it to the OS. Call *before*
+    /// Appends one WAL entry and syncs it to disk. Call *before*
     /// ingesting the cycle, so a crash after the append replays the
     /// cycle instead of losing it.
     ///
@@ -139,80 +140,57 @@ impl SnapshotStore {
     ///
     /// Returns an IO error on write failure.
     pub fn append_wal(&self, entry: &WalEntry) -> std::io::Result<()> {
-        let line = serde_json::to_string(entry).expect("wal entry serializes");
         let mut span = self.tracer.start(obs::stage::WAL_APPEND, "");
-        span.attr("bytes", line.len());
         span.attr("profiles", entry.profiles.len());
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.wal_path())?;
-        writeln!(f, "{line}")?;
-        f.flush()?;
-        f.sync_data()?;
+        span.attr("bytes", self.wal.append(entry)?);
         Ok(())
     }
 
-    /// Commits a snapshot atomically (temp file + rename) and truncates
-    /// the WAL it supersedes. A crash between the rename and the
-    /// truncate leaves stale WAL entries behind, which [`Self::recover`]
-    /// filters out by cycle number.
+    /// Commits a snapshot atomically and truncates the WAL it
+    /// supersedes. A crash between the rename and the truncate leaves
+    /// stale WAL entries behind, which [`Self::recover`] filters out by
+    /// cycle number.
     ///
     /// # Errors
     ///
     /// Returns an IO error on write failure.
     pub fn commit_snapshot(&self, snapshot: &DaemonSnapshot) -> std::io::Result<()> {
-        let tmp = self.dir.join("snapshot.json.tmp");
         let body = serde_json::to_string_pretty(snapshot).expect("snapshot serializes");
         let mut span = self.tracer.start(obs::stage::SNAPSHOT, "");
         span.attr("bytes", body.len());
         span.attr("cycle", snapshot.cycle);
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(body.as_bytes())?;
-            f.flush()?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, self.snapshot_path())?;
+        durable::write_atomic(&self.snapshot_path(), body.as_bytes())?;
         // The WAL up to snapshot.cycle is now redundant.
-        std::fs::File::create(self.wal_path())?.sync_data()?;
-        Ok(())
+        self.wal.truncate()
     }
 
     /// Loads the committed snapshot and the WAL entries newer than it.
-    /// A torn trailing WAL line (crash mid-append) is discarded and
-    /// reported via [`Recovery::dropped_trailing`]; mid-file corruption
-    /// or an unknown snapshot version is an error.
+    /// A torn trailing WAL line (crash mid-append) is discarded,
+    /// reported via [`Recovery::dropped_trailing`], and truncated away
+    /// so the next append starts clean; mid-file corruption or an
+    /// unknown snapshot version is an error.
     ///
     /// # Errors
     ///
     /// IO errors, [`std::io::ErrorKind::InvalidData`] for a corrupt
     /// snapshot, mid-WAL corruption, or an unsupported version.
     pub fn recover(&self) -> std::io::Result<Recovery> {
-        let snapshot = if self.snapshot_path().exists() {
-            let text = std::fs::read_to_string(self.snapshot_path())?;
-            let snap: DaemonSnapshot = serde_json::from_str(&text).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("{}: corrupt snapshot: {e}", self.snapshot_path().display()),
-                )
-            })?;
+        let path = self.snapshot_path();
+        let snapshot: Option<DaemonSnapshot> = durable::read_json(&path)?;
+        if let Some(snap) = &snapshot {
             if snap.version != DAEMON_SNAPSHOT_VERSION {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
                     format!(
                         "{}: snapshot version {} unsupported (expected {})",
-                        self.snapshot_path().display(),
+                        path.display(),
                         snap.version,
                         DAEMON_SNAPSHOT_VERSION
                     ),
                 ));
             }
-            Some(snap)
-        } else {
-            None
-        };
-        let loaded = load_jsonl::<WalEntry>(&self.wal_path())?;
+        }
+        let loaded = self.wal.load::<WalEntry>()?;
         let floor = snapshot.as_ref().map(|s| s.cycle).unwrap_or(0);
         let wal: Vec<WalEntry> = loaded
             .records
@@ -357,6 +335,24 @@ mod tests {
         assert_eq!(rec.wal.len(), 1);
         assert_eq!(rec.wal[0].cycle, 1);
         assert!(rec.dropped_trailing.is_some());
+
+        // The daemon keeps appending after recovery: both new cycles
+        // must survive the next recovery, not glue onto the torn bytes.
+        for cycle in 2..=3 {
+            store
+                .append_wal(&WalEntry {
+                    cycle,
+                    profiles: vec![profile("svc-0", cycle as usize)],
+                    stats: CycleStats::default(),
+                })
+                .unwrap();
+        }
+        let rec = store.recover().unwrap();
+        assert_eq!(
+            rec.wal.iter().map(|e| e.cycle).collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
+        assert!(rec.dropped_trailing.is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -130,12 +130,10 @@ impl StaticTier {
     ///
     /// Returns an IO error if the cache file exists but cannot be read.
     pub fn open(config: StaticTierConfig) -> io::Result<StaticTier> {
-        let entries = match std::fs::read_to_string(&config.cache_path) {
-            Ok(text) => match serde_json::from_str::<CacheFile>(&text) {
-                Ok(cache) if cache.version == VERDICT_CACHE_VERSION => cache.entries,
-                _ => BTreeMap::new(),
-            },
-            Err(e) if e.kind() == io::ErrorKind::NotFound => BTreeMap::new(),
+        let entries = match durable::read_json::<CacheFile>(&config.cache_path) {
+            Ok(Some(cache)) if cache.version == VERDICT_CACHE_VERSION => cache.entries,
+            Ok(_) => BTreeMap::new(),
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => BTreeMap::new(),
             Err(e) => return Err(e),
         };
         Ok(StaticTier {
@@ -247,8 +245,8 @@ impl StaticTier {
         &self.config.cache_path
     }
 
-    /// Writes the cache atomically (temp file + rename), matching the
-    /// crash-safety discipline of the snapshot store.
+    /// Writes the cache atomically, under the same crash-safety rule as
+    /// the snapshot store.
     fn persist(&self) -> io::Result<()> {
         if let Some(parent) = self.config.cache_path.parent() {
             std::fs::create_dir_all(parent)?;
@@ -258,9 +256,7 @@ impl StaticTier {
             entries: self.entries.clone(),
         };
         let text = serde_json::to_string_pretty(&cache).expect("cache serializes");
-        let tmp = self.config.cache_path.with_extension("json.tmp");
-        std::fs::write(&tmp, text)?;
-        std::fs::rename(&tmp, &self.config.cache_path)
+        durable::write_atomic(&self.config.cache_path, text.as_bytes())
     }
 }
 

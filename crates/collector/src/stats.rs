@@ -1,11 +1,8 @@
 //! Scrape-health telemetry: latency histograms and per-cycle counters
 //! the daemon exposes on its own `/metrics` endpoint and in `status`.
 
+use obs::LatencyHistogram;
 use serde::{Deserialize, Serialize};
-
-// The histogram moved to the dependency-free `obs` crate so the tracing
-// layer can use it too; re-exported here so existing imports keep working.
-pub use obs::LatencyHistogram;
 
 /// Builds Prometheus text exposition incrementally, enforcing the
 /// format every scraper expects: each metric family is announced with

@@ -244,8 +244,8 @@ fn slow_instance_elevates_latency_but_still_succeeds() {
     assert!(report.stats.latency.p99_us() >= report.stats.latency.p50_us());
 }
 
-/// Health counters and history survive across multiple degraded cycles,
-/// and the accumulator keeps ingesting whatever arrives.
+/// Health counters and per-cycle telemetry survive across multiple
+/// degraded cycles, and the accumulator keeps ingesting whatever arrives.
 #[test]
 fn daemon_accumulates_across_cycles_with_persistent_fault() {
     let mut demo = DemoFleet::build(8, 1, 9);
@@ -255,21 +255,18 @@ fn daemon_accumulates_across_cycles_with_persistent_fault() {
     demo.hub.inject_fault(&victim, Fault::CloseBeforeResponse);
 
     let dir = std::env::temp_dir().join(format!("leakprofd-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    let history = dir.join("history.jsonl");
-    let _ = std::fs::remove_file(&history);
+    let _ = std::fs::remove_dir_all(&dir);
 
     let mut daemon = Daemon::new(
         DaemonConfig {
             scrape: fast_config(),
-            history_path: Some(history.clone()),
-            history_keep: 10,
+            state_dir: Some(dir.clone()),
             ..Default::default()
         },
         demo.leakprof(40, 10),
         targets,
     )
-    .expect("daemon with history");
+    .expect("daemon with state dir");
 
     for _ in 0..3 {
         let cycle = daemon.run_cycle();
@@ -290,8 +287,10 @@ fn daemon_accumulates_across_cycles_with_persistent_fault() {
     assert_eq!(status.cycles, 3);
     assert!(status.profiles_ingested > 0);
 
-    let log = collector::HistoryLog::open(&history, 10).expect("reopen");
-    assert_eq!(log.load().expect("read").len(), 3);
-    let _ = std::fs::remove_file(&history);
-    let _ = std::fs::remove_dir(&dir);
+    // Every cycle's record is durable in the telemetry store.
+    drop(daemon);
+    let ts = timeseries::TsStore::open(dir.join("ts"), Default::default()).expect("reopen");
+    let walls = ts.query(leakprof::series::CYCLE_WALL_MS_ID, 0, u64::MAX, Some(1));
+    assert_eq!(walls.len(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -344,7 +344,7 @@ fn prom_text_builder_round_trips_through_the_checker() {
 
 #[test]
 fn prom_text_histograms_round_trip_through_the_checker() {
-    let mut h = collector::LatencyHistogram::new();
+    let mut h = obs::LatencyHistogram::new();
     for us in [3, 900, 5000] {
         h.record_us(us);
     }

@@ -41,8 +41,6 @@ pub mod stage {
     pub const ANALYZE: &str = "analyze";
     /// Applying the ranked report to the dedup ledger.
     pub const LEDGER: &str = "ledger";
-    /// Appending per-site counts to the trend history.
-    pub const HISTORY: &str = "history";
     /// Committing a durable snapshot to disk.
     pub const SNAPSHOT: &str = "snapshot";
     /// Appending the cycle's telemetry points to the time-series store.
@@ -66,7 +64,7 @@ pub mod stage {
 
     /// Every pipeline stage, in pipeline order. Used by the dashboard
     /// so rows render in execution order rather than alphabetically.
-    pub const ALL: [&str; 17] = [
+    pub const ALL: [&str; 16] = [
         CYCLE,
         SCRAPE,
         TARGET,
@@ -78,7 +76,6 @@ pub mod stage {
         STATIC_SYNC,
         ANALYZE,
         LEDGER,
-        HISTORY,
         TS_APPEND,
         TREND,
         SNAPSHOT,

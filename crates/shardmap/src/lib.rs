@@ -216,15 +216,21 @@ impl ShardMap {
     /// Returns a message for malformed JSON, a format other than
     /// [`SHARDMAP_FORMAT`], or seats whose ids don't match their index.
     pub fn from_json(json: &str) -> Result<ShardMap, String> {
-        let map: ShardMap =
-            serde_json::from_str(json).map_err(|e| format!("malformed shard map: {e}"))?;
-        if map.format != SHARDMAP_FORMAT {
+        serde_json::from_str::<ShardMap>(json)
+            .map_err(|e| format!("malformed shard map: {e}"))?
+            .validated()
+    }
+
+    /// Rejects formats other than [`SHARDMAP_FORMAT`] and seats whose
+    /// ids don't match their index.
+    fn validated(self) -> Result<ShardMap, String> {
+        if self.format != SHARDMAP_FORMAT {
             return Err(format!(
                 "unsupported shard map format {} (expected {})",
-                map.format, SHARDMAP_FORMAT
+                self.format, SHARDMAP_FORMAT
             ));
         }
-        for (i, seat) in map.seats.iter().enumerate() {
+        for (i, seat) in self.seats.iter().enumerate() {
             if seat.id != i as u32 {
                 return Err(format!(
                     "seat id {} at position {i}: ids must equal their index",
@@ -232,29 +238,34 @@ impl ShardMap {
                 ));
             }
         }
-        Ok(map)
+        Ok(self)
     }
 
-    /// Writes the map to `path` atomically (tmp + rename).
+    /// Writes the map to `path` atomically.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_json())?;
-        std::fs::rename(&tmp, path)
+        durable::write_atomic(path, self.to_json().as_bytes())
     }
 
-    /// Loads a map from `path` via [`ShardMap::from_json`].
+    /// Loads and validates a map from `path` (the checks of
+    /// [`ShardMap::from_json`]).
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors; format errors surface as
-    /// [`std::io::ErrorKind::InvalidData`].
+    /// Propagates filesystem errors (a missing file is
+    /// [`std::io::ErrorKind::NotFound`]); malformed or invalid maps
+    /// surface as [`std::io::ErrorKind::InvalidData`].
     pub fn load(path: &Path) -> std::io::Result<ShardMap> {
-        let json = std::fs::read_to_string(path)?;
-        ShardMap::from_json(&json)
+        let map = durable::read_json::<ShardMap>(path)?.ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                format!("{}: no such shard map", path.display()),
+            )
+        })?;
+        map.validated()
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 }

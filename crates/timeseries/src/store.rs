@@ -8,18 +8,19 @@
 //! single fold and makes rollups mergeable across stores (the same
 //! algebra `FleetAccumulator::merge` relies on for sharding).
 //!
-//! Durability mirrors the daemon's snapshot+WAL scheme: every append
-//! batch is written to `wal.jsonl` (flushed) before it is applied, and
-//! every `snapshot_every` batches the whole store is rewritten to
-//! `store.json` via tmp+rename and the WAL truncated. Recovery loads
-//! the snapshot, replays the WAL, and tolerates exactly one torn
-//! trailing WAL line — the signature of a crash mid-append.
+//! Durability mirrors the daemon's snapshot+WAL scheme on the same
+//! [`durable`] primitives: every append batch is written to `wal.jsonl`
+//! (flushed) before it is applied, and every `snapshot_every` batches
+//! the whole store is rewritten to `store.json` atomically and the WAL
+//! truncated. Recovery loads the snapshot, replays the WAL, and drops
+//! (and cuts away) exactly one torn trailing WAL line — the signature
+//! of a crash mid-append.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
+use durable::{AppendLog, SyncMode};
 use serde::{Deserialize, Serialize};
 
 /// On-disk snapshot format version.
@@ -290,7 +291,7 @@ struct WalBatch {
     points: Vec<(String, f64)>,
 }
 
-/// Full-store snapshot (tmp+rename on write).
+/// Full-store snapshot (`store.json`, written atomically).
 #[derive(Debug, Serialize, Deserialize)]
 struct StoreSnapshot {
     version: u32,
@@ -303,7 +304,8 @@ struct StoreSnapshot {
 pub struct TsStore {
     config: StoreConfig,
     series: BTreeMap<String, Series>,
-    dir: Option<PathBuf>,
+    /// The WAL (`<dir>/wal.jsonl`); `None` in memory-only mode.
+    wal: Option<AppendLog>,
     appends_since_snapshot: u64,
     appended_total: u64,
 }
@@ -315,7 +317,7 @@ impl TsStore {
         TsStore {
             config,
             series: BTreeMap::new(),
-            dir: None,
+            wal: None,
             appends_since_snapshot: 0,
             appended_total: 0,
         }
@@ -323,8 +325,8 @@ impl TsStore {
 
     /// Opens (or creates) a durable store under `dir`, recovering
     /// snapshot + WAL left by a previous process. A torn trailing WAL
-    /// line (crash mid-append) is discarded with a warning; corruption
-    /// anywhere else fails the open with
+    /// line (crash mid-append) is discarded with a warning and cut from
+    /// the file; corruption anywhere else fails the open with
     /// [`std::io::ErrorKind::InvalidData`].
     ///
     /// # Errors
@@ -332,24 +334,11 @@ impl TsStore {
     /// IO errors creating the directory or reading existing state, or
     /// `InvalidData` for mid-file corruption / an unsupported version.
     pub fn open(dir: impl AsRef<Path>, config: StoreConfig) -> std::io::Result<TsStore> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        let mut store = TsStore {
-            config,
-            series: BTreeMap::new(),
-            dir: None, // filled in after recovery so replay skips the WAL
-            appends_since_snapshot: 0,
-            appended_total: 0,
-        };
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir)?;
+        let mut store = TsStore::in_memory(config);
         let snap_path = dir.join("store.json");
-        if snap_path.exists() {
-            let bytes = std::fs::read_to_string(&snap_path)?;
-            let snap: StoreSnapshot = serde_json::from_str(&bytes).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("{}: corrupt store snapshot: {e}", snap_path.display()),
-                )
-            })?;
+        if let Some(snap) = durable::read_json::<StoreSnapshot>(&snap_path)? {
             if snap.version != STORE_VERSION {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
@@ -363,41 +352,23 @@ impl TsStore {
             store.series = snap.series.into_iter().collect();
         }
         // Replay WAL batches written after the snapshot.
-        let wal_path = dir.join("wal.jsonl");
-        if wal_path.exists() {
-            let content = std::fs::read_to_string(&wal_path)?;
-            let lines: Vec<&str> = content.lines().filter(|l| !l.trim().is_empty()).collect();
-            for (i, line) in lines.iter().enumerate() {
-                match serde_json::from_str::<WalBatch>(line) {
-                    Ok(batch) => {
-                        let points: Vec<(&str, f64)> = batch
-                            .points
-                            .iter()
-                            .map(|(id, v)| (id.as_str(), *v))
-                            .collect();
-                        store.apply_batch(batch.t, &points);
-                    }
-                    Err(e) if i + 1 == lines.len() => {
-                        eprintln!(
-                            "timeseries: {}: discarded torn trailing batch (crash mid-append?): {e}",
-                            wal_path.display()
-                        );
-                    }
-                    Err(e) => {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!(
-                                "{}: corrupt batch on line {} of {}: {e}",
-                                wal_path.display(),
-                                i + 1,
-                                lines.len()
-                            ),
-                        ));
-                    }
-                }
-            }
+        let wal = AppendLog::open(dir.join("wal.jsonl"), SyncMode::Flush);
+        let loaded = wal.load::<WalBatch>()?;
+        if let Some(e) = &loaded.dropped_trailing {
+            eprintln!(
+                "timeseries: {}: discarded torn trailing batch (crash mid-append?): {e}",
+                wal.path().display()
+            );
         }
-        store.dir = Some(dir);
+        for batch in &loaded.records {
+            let points: Vec<(&str, f64)> = batch
+                .points
+                .iter()
+                .map(|(id, v)| (id.as_str(), *v))
+                .collect();
+            store.apply_batch(batch.t, &points);
+        }
+        store.wal = Some(wal);
         Ok(store)
     }
 
@@ -422,25 +393,13 @@ impl TsStore {
                 }
             }
         }
-        let mut wal_err = None;
-        if let Some(dir) = &self.dir {
+        let wal_err = self.wal.as_ref().and_then(|wal| {
             let batch = WalBatch {
                 t,
                 points: points.iter().map(|(id, v)| (id.to_string(), *v)).collect(),
             };
-            let line = serde_json::to_string(&batch).expect("batch serializes");
-            let result = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(dir.join("wal.jsonl"))
-                .and_then(|mut f| {
-                    writeln!(f, "{line}")?;
-                    f.flush()
-                });
-            if let Err(e) = result {
-                wal_err = Some(e);
-            }
-        }
+            wal.append(&batch).err()
+        });
         self.apply_batch(t, points);
         self.appends_since_snapshot += 1;
         self.appended_total += 1;
@@ -477,14 +436,14 @@ impl TsStore {
         }
     }
 
-    /// Rewrites the snapshot (tmp+rename) and truncates the WAL. No-op
-    /// in memory-only mode.
+    /// Rewrites the snapshot atomically and truncates the WAL. No-op in
+    /// memory-only mode.
     ///
     /// # Errors
     ///
     /// IO errors writing the snapshot.
     pub fn flush(&mut self) -> std::io::Result<()> {
-        let Some(dir) = &self.dir else {
+        let Some(wal) = &self.wal else {
             self.appends_since_snapshot = 0;
             return Ok(());
         };
@@ -497,19 +456,10 @@ impl TsStore {
                 .map(|(id, s)| (id.clone(), s.clone()))
                 .collect(),
         };
-        let tmp = dir.join("store.json.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(
-                serde_json::to_string(&snap)
-                    .expect("snapshot serializes")
-                    .as_bytes(),
-            )?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, dir.join("store.json"))?;
+        let body = serde_json::to_string(&snap).expect("snapshot serializes");
+        durable::write_atomic(&wal.path().with_file_name("store.json"), body.as_bytes())?;
         // WAL content is now covered by the snapshot.
-        std::fs::write(dir.join("wal.jsonl"), b"")?;
+        wal.truncate()?;
         self.appends_since_snapshot = 0;
         Ok(())
     }

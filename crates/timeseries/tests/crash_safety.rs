@@ -48,6 +48,22 @@ fn torn_trailing_wal_line_recovers_to_prefix() {
     assert_eq!(pts.last().unwrap().last, 8.0);
     // Both series lose exactly the torn batch.
     assert_eq!(s.query("total", 0, 100, Some(1)).len(), 9);
+
+    // Appending after recovery must not glue onto the torn bytes: the
+    // next recovery keeps the prefix plus both new batches.
+    let mut s = s;
+    for t in 9..11u64 {
+        s.append(t, &[("rms", t as f64), ("total", 2.0 * t as f64)])
+            .unwrap();
+    }
+    drop(s);
+    let s = TsStore::open(&dir, config(0)).unwrap();
+    let pts = s.query("rms", 0, 100, Some(1));
+    assert_eq!(
+        pts.iter().map(|p| p.last).collect::<Vec<_>>(),
+        (0..11).map(|t| t as f64).collect::<Vec<_>>()
+    );
+    assert_eq!(s.query("total", 0, 100, Some(1)).len(), 11);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
