@@ -214,7 +214,6 @@ fn push_until_admitted(tier: &IngestTier, profiles: &[GoroutineProfile], stall_f
 fn drive_fleet(instances: usize) -> Row {
     let mut daemon = Daemon::new(
         DaemonConfig {
-            telemetry: false,
             ingest: Some(IngestConfig {
                 queue_capacity: QUEUE_CAPACITY,
                 ..IngestConfig::default()
@@ -318,7 +317,6 @@ fn main() {
     let one_cycle = |capacity: usize| {
         let mut daemon = Daemon::new(
             DaemonConfig {
-                telemetry: false,
                 ingest: Some(IngestConfig {
                     queue_capacity: capacity,
                     ..IngestConfig::default()

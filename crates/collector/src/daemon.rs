@@ -57,19 +57,14 @@ pub struct DaemonConfig {
     /// tree, cached by tree fingerprint). `None` disables race
     /// detection, as before.
     pub race_tier: Option<RaceTierConfig>,
-    /// Cycle tracing (span ring capacity, retained cycles, on/off).
+    /// Cycle tracing (span ring capacity, retained cycles, tail sampling).
     pub trace: TraceConfig,
-    /// Structured event log (ring capacity, retained entries, on/off).
+    /// Structured event log (ring capacity, retained entries).
     /// Replaces ad-hoc stderr prints; served at `GET /logs`.
     pub events: obs::EventConfig,
     /// Multi-resolution telemetry store layout. Persisted under
     /// `<state_dir>/ts` when a state dir is configured, else in-memory.
     pub ts: StoreConfig,
-    /// Fleet telemetry recording + trend classification on/off. Off
-    /// skips [`observe_fleet`](Daemon) entirely — `/health` stays
-    /// empty and the adaptive controller never observes a cycle; the
-    /// `ts_ingest` bench uses this to price the telemetry path.
-    pub telemetry: bool,
     /// Trend/anomaly detection tuning for `/health` verdicts.
     pub trend: TrendConfig,
     /// Adaptive scrape-interval controller tuning (disabled by
@@ -97,7 +92,6 @@ impl Default for DaemonConfig {
             trace: TraceConfig::default(),
             events: obs::EventConfig::default(),
             ts: StoreConfig::default(),
-            telemetry: true,
             trend: TrendConfig::default(),
             adaptive: AdaptiveConfig::default(),
             shard: None,
@@ -264,7 +258,6 @@ pub struct Daemon {
     events: obs::EventLog,
     board: WorkerBoard,
     ts: TsStore,
-    telemetry: bool,
     trend: TrendConfig,
     controller: AdaptiveController,
     last_health: Option<FleetHealth>,
@@ -395,7 +388,6 @@ impl Daemon {
             events,
             board,
             ts,
-            telemetry: config.telemetry,
             trend: config.trend,
             controller: AdaptiveController::new(config.adaptive),
             last_health: None,
@@ -581,9 +573,7 @@ impl Daemon {
                 .events
                 .error("daemon", format!("ledger save failed: {e}")),
         }
-        if self.telemetry {
-            self.observe_fleet(cycle, &report, &profiles, &analysis);
-        }
+        self.observe_fleet(cycle, &report, &profiles, &analysis);
         let profile_count = profiles.len();
         // Everything that needed the profiles has run; free them off
         // the cycle path (see [`Reaper`]).

@@ -173,13 +173,6 @@ impl HealthCounters {
         }
     }
 
-    /// Renders Prometheus-style exposition text for `/metrics`.
-    pub fn render_prometheus(&self) -> String {
-        let mut p = PromText::new();
-        self.render_into(&mut p);
-        p.finish()
-    }
-
     /// Writes this struct's metric families into an exposition being
     /// built (so [`crate::Daemon::metrics_text`] can extend it).
     pub fn render_into(&self, p: &mut PromText) {
@@ -259,7 +252,9 @@ mod tests {
         assert_eq!(totals.cycles, 2);
         assert_eq!(totals.scrapes_ok, 18);
         assert!((totals.success_rate() - 0.9).abs() < 1e-9);
-        let text = totals.render_prometheus();
+        let mut p = PromText::new();
+        totals.render_into(&mut p);
+        let text = p.finish();
         assert!(text.contains("# HELP leakprofd_cycles_total "));
         assert!(text.contains("# TYPE leakprofd_cycles_total counter"));
         assert!(text.contains("leakprofd_cycles_total 2"));

@@ -286,6 +286,9 @@ fn daemon_accumulates_across_cycles_with_persistent_fault() {
     let status = daemon.status();
     assert_eq!(status.cycles, 3);
     assert!(status.profiles_ingested > 0);
+    // The default rings hold every span and event of a degraded cycle.
+    assert_eq!(daemon.tracer().spans_dropped(), 0, "span ring overflowed");
+    assert_eq!(daemon.events().dropped(), 0, "event ring overflowed");
 
     // Every cycle's record is durable in the telemetry store.
     drop(daemon);

@@ -79,8 +79,6 @@ pub struct Event {
 /// Event-log tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EventConfig {
-    /// Whether events are recorded at all.
-    pub enabled: bool,
     /// Lock-free staging ring capacity (drop-newest beyond this).
     pub ring_capacity: usize,
     /// Most recent entries retained for `/logs`.
@@ -90,7 +88,6 @@ pub struct EventConfig {
 impl Default for EventConfig {
     fn default() -> Self {
         EventConfig {
-            enabled: true,
             ring_capacity: 1024,
             keep: 256,
         }
@@ -117,11 +114,8 @@ pub struct EventLog {
 }
 
 impl EventLog {
-    /// Creates a log from `config` (disabled config ⇒ no-op log).
+    /// Creates a recording log from `config`.
     pub fn new(config: EventConfig) -> EventLog {
-        if !config.enabled {
-            return EventLog::disabled();
-        }
         EventLog {
             inner: Some(Arc::new(EventInner {
                 epoch: Instant::now(),
@@ -306,7 +300,6 @@ mod tests {
     #[test]
     fn retention_is_bounded_and_drops_are_counted() {
         let log = EventLog::new(EventConfig {
-            enabled: true,
             ring_capacity: 1024,
             keep: 4,
         });
@@ -321,7 +314,6 @@ mod tests {
         // A tiny ring that is never folded must drop, visibly. The log
         // folds on every `log` call, so drops require pushing directly.
         let tiny = EventLog::new(EventConfig {
-            enabled: true,
             ring_capacity: 2,
             keep: 8,
         });

@@ -166,9 +166,6 @@ pub struct TraceSnapshot {
 /// Tracer configuration.
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
-    /// Master switch; a disabled tracer is a no-op (spans cost one
-    /// branch and no allocation).
-    pub enabled: bool,
     /// Ring capacity in spans (rounded up to a power of two). Must
     /// exceed the span count of one cycle or spans will be dropped and
     /// counted.
@@ -189,7 +186,6 @@ pub struct TraceConfig {
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
-            enabled: true,
             ring_capacity: 4096,
             keep_cycles: 8,
             tail_sample: false,
@@ -265,12 +261,8 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// Builds a tracer from `cfg`; `cfg.enabled == false` yields the
-    /// no-op tracer.
+    /// Builds a recording tracer from `cfg`.
     pub fn new(cfg: &TraceConfig) -> Tracer {
-        if !cfg.enabled {
-            return Tracer::disabled();
-        }
         let epoch_unix_us = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_micros() as u64)

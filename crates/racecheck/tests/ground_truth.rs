@@ -67,6 +67,17 @@ fn control_slice_is_race_free() {
             report.events_analyzed > 0,
             "{control:?} emitted no accesses"
         );
+        // A plain build run with happens-before tracking off carries no
+        // access instrumentation at all.
+        let plain = minigo::compile_many(&r.sources()).expect("plain build compiles");
+        let cfg = RunConfig::default();
+        let mut rt = gosim::Runtime::with_seed(cfg.seed);
+        plain.spawn_func(&mut rt, &r.entry(), Vec::<gosim::Val>::new());
+        rt.advance(cfg.ticks, cfg.max_slices);
+        assert!(
+            rt.take_access_events().is_empty(),
+            "{control:?}: plain build emitted access events"
+        );
     }
 }
 
