@@ -30,7 +30,7 @@ use crate::ledger::{CycleOutcome, LedgerConfig, LedgerSummary, ReportLedger};
 use crate::race_tier::{RaceTier, RaceTierConfig, RaceTierStats};
 use crate::scrape::{CycleReport, KeepaliveSummary, ScrapeConfig, ScrapeTarget, Scraper};
 use crate::shard::{claim_state_dir, ApiSnapshot, ShardSpec, API_SNAPSHOT_VERSION};
-use crate::snapshot::{DaemonSnapshot, SnapshotStore, WalEntry, DAEMON_SNAPSHOT_VERSION};
+use crate::snapshot::{DaemonSnapshot, SnapshotStore, WalRecord, DAEMON_SNAPSHOT_VERSION};
 use crate::static_tier::{StaticTier, StaticTierConfig, StaticTierStats};
 use crate::stats::{HealthCounters, PromText};
 use shardmap::ShardIdentity;
@@ -489,12 +489,12 @@ impl Daemon {
         // WAL before ingest: a crash from here on replays the cycle
         // instead of losing it.
         if let Some(store) = &self.store {
-            let entry = WalEntry {
+            let entry = WalRecord {
                 cycle,
-                profiles: profiles.iter().map(|a| a.profile.clone()).collect(),
-                stats: report.stats.clone(),
+                profiles: profiles.iter().map(|a| &a.profile).collect(),
+                stats: &report.stats,
             };
-            if let Err(e) = store.append_wal(&entry) {
+            if let Err(e) = store.append_wal(entry) {
                 self.events
                     .error("daemon", format!("wal append failed: {e}"));
             }

@@ -139,6 +139,8 @@ pub use shard::{
     claim_state_dir, read_tag, write_tag, ApiSnapshot, ShardSpec, API_SNAPSHOT_VERSION,
     SHARD_TAG_FILE,
 };
-pub use snapshot::{DaemonSnapshot, Recovery, SnapshotStore, WalEntry, DAEMON_SNAPSHOT_VERSION};
+pub use snapshot::{
+    DaemonSnapshot, Recovery, SnapshotStore, WalEntry, WalRecord, DAEMON_SNAPSHOT_VERSION,
+};
 pub use static_tier::{StaticTier, StaticTierConfig, StaticTierStats, VERDICT_CACHE_VERSION};
 pub use stats::{CycleStats, HealthCounters, PromText};

@@ -57,6 +57,29 @@ pub struct WalEntry {
     pub stats: CycleStats,
 }
 
+/// A [`WalEntry`] over borrowed data: what the daemon appends each cycle
+/// without cloning its profiles. Serializes to the same bytes as the
+/// owned entry it borrows from.
+#[derive(Debug, Serialize)]
+pub struct WalRecord<'a> {
+    /// The cycle number this entry records.
+    pub cycle: u64,
+    /// Profiles scraped this cycle, in ingestion order.
+    pub profiles: Vec<&'a GoroutineProfile>,
+    /// The cycle's scrape-health stats.
+    pub stats: &'a CycleStats,
+}
+
+impl<'a> From<&'a WalEntry> for WalRecord<'a> {
+    fn from(entry: &'a WalEntry) -> WalRecord<'a> {
+        WalRecord {
+            cycle: entry.cycle,
+            profiles: entry.profiles.iter().collect(),
+            stats: &entry.stats,
+        }
+    }
+}
+
 /// What recovery found on disk.
 #[derive(Debug)]
 pub struct Recovery {
@@ -139,10 +162,11 @@ impl SnapshotStore {
     /// # Errors
     ///
     /// Returns an IO error on write failure.
-    pub fn append_wal(&self, entry: &WalEntry) -> std::io::Result<()> {
+    pub fn append_wal<'a>(&self, entry: impl Into<WalRecord<'a>>) -> std::io::Result<()> {
+        let entry = entry.into();
         let mut span = self.tracer.start(obs::stage::WAL_APPEND, "");
         span.attr("profiles", entry.profiles.len());
-        span.attr("bytes", self.wal.append(entry)?);
+        span.attr("bytes", self.wal.append(&entry)?);
         Ok(())
     }
 

@@ -291,12 +291,22 @@ struct WalBatch {
     points: Vec<(String, f64)>,
 }
 
-/// Full-store snapshot (`store.json`, written atomically).
-#[derive(Debug, Serialize, Deserialize)]
+/// Full-store snapshot (`store.json`) as read back. The file also
+/// records the writer's `config`; a reopened store runs on the config it
+/// is opened with, so the parser skips it.
+#[derive(Debug, Deserialize)]
 struct StoreSnapshot {
     version: u32,
-    config: StoreConfig,
     series: Vec<(String, Series)>,
+}
+
+/// Full-store snapshot as written, atomically, borrowing the live
+/// store's data: flushing clones no series.
+#[derive(Serialize)]
+struct StoreSnapshotRef<'a> {
+    version: u32,
+    config: &'a StoreConfig,
+    series: Vec<(&'a String, &'a Series)>,
 }
 
 /// The embedded multi-resolution time-series store.
@@ -447,14 +457,10 @@ impl TsStore {
             self.appends_since_snapshot = 0;
             return Ok(());
         };
-        let snap = StoreSnapshot {
+        let snap = StoreSnapshotRef {
             version: STORE_VERSION,
-            config: self.config.clone(),
-            series: self
-                .series
-                .iter()
-                .map(|(id, s)| (id.clone(), s.clone()))
-                .collect(),
+            config: &self.config,
+            series: self.series.iter().collect(),
         };
         let body = serde_json::to_string(&snap).expect("snapshot serializes");
         durable::write_atomic(&wal.path().with_file_name("store.json"), body.as_bytes())?;
