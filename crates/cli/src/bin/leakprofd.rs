@@ -127,11 +127,12 @@ use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 
 use collector::{
-    backtest_store, merge_state_dirs, render_table, run_chaos, serve_daemon_endpoints_with,
-    serve_fleet_endpoints, write_merged, write_report, AdaptiveConfig, ApiSnapshot, BacktestConfig,
-    ChaosConfig, ChaosPlanConfig, Daemon, DaemonConfig, DemoFleet, FleetAggregator, FleetConfig,
-    FleetHealth, MergeConfig, ProfileHub, PushClient, PushConfig, PushError, ReportLedger,
-    ScrapeConfig, ScrapeTarget, ShardSpec, SnapshotStore, WatermarkTrigger,
+    backtest_store, fold_order, fold_snapshot, merge_state_dirs, render_table, run_chaos,
+    serve_daemon_endpoints_with, serve_fleet_endpoints, write_merged, write_report, AdaptiveConfig,
+    ApiSnapshot, BacktestConfig, ChaosConfig, ChaosPlanConfig, Daemon, DaemonConfig, DemoFleet,
+    FleetAggregator, FleetConfig, FleetHealth, MergeConfig, ProfileHub, PushClient, PushConfig,
+    PushError, ReportLedger, ScrapeConfig, ScrapeTarget, ShardSpec, SnapshotStore,
+    WatermarkTrigger,
 };
 use leaklab_cli::{flag, flags_all, split_flags};
 use leakprof::FleetAccumulator;
@@ -210,6 +211,17 @@ fn parsed<T: std::str::FromStr>(flags: &[(String, String)], name: &str, default:
 /// verdict cache lands in the state dir when one is configured,
 /// otherwise as `verdicts.json` beside the sources (only `.go` files
 /// are scanned, so the cache never shadows a source file).
+/// The ranking every subcommand starts from: `--threshold` (default
+/// 40) and `--top` (default 10), AST filter off — a static tier turns it
+/// on when one is configured.
+fn ranker(flags: &[(String, String)]) -> leakprof::LeakProf {
+    leakprof::LeakProf::new(leakprof::Config {
+        threshold: parsed(flags, "threshold", 40),
+        ast_filter: false,
+        top_n: parsed(flags, "top", 10),
+    })
+}
+
 fn static_tier_config(
     flags: &[(String, String)],
     state_dir: Option<&std::path::Path>,
@@ -356,14 +368,7 @@ fn scrape_once(flags: &[(String, String)]) -> ExitCode {
                     addr,
                 })
                 .collect();
-            let lp = leakprof::LeakProf::new(leakprof::Config {
-                threshold,
-                // Off unless --source-dir points at a checkout of the
-                // fleet's sources (the static tier then enables it).
-                ast_filter: false,
-                top_n,
-            });
-            (lp, targets)
+            (ranker(flags), targets)
         }
         None => {
             let (demo, server) = build_demo(flags);
@@ -380,11 +385,7 @@ fn scrape_once(flags: &[(String, String)]) -> ExitCode {
             let lp = if ast_filter && static_tier.is_none() {
                 demo.leakprof(threshold, top_n)
             } else {
-                leakprof::LeakProf::new(leakprof::Config {
-                    threshold,
-                    ast_filter: false,
-                    top_n,
-                })
+                ranker(flags)
             };
             demo_parts = (demo, server);
             let _ = &demo_parts;
@@ -459,13 +460,9 @@ fn serve(flags: &[(String, String)]) -> ExitCode {
     let lp = if ast_filter && static_tier.is_none() {
         demo.leakprof(threshold, top_n)
     } else {
-        // Filter off by default; with --source-dir the daemon's static
-        // tier installs cached verdicts and turns it on itself.
-        leakprof::LeakProf::new(leakprof::Config {
-            threshold,
-            ast_filter: false,
-            top_n,
-        })
+        // With --source-dir the daemon's static tier installs cached
+        // verdicts and turns the filter on itself.
+        ranker(flags)
     };
 
     let config = DaemonConfig {
@@ -625,14 +622,7 @@ fn status(flags: &[(String, String)]) -> ExitCode {
         Err(code) => return code,
     };
     let peeks: Vec<ShardPeek> = addrs.into_iter().map(peek_shard).collect();
-    print!(
-        "{}",
-        render_overview(
-            &peeks,
-            parsed(flags, "threshold", 40),
-            parsed(flags, "top", 10),
-        )
-    );
+    print!("{}", render_overview(&peeks, &ranker(flags)));
     ExitCode::SUCCESS
 }
 
@@ -712,22 +702,16 @@ fn peek_shard(addr: std::net::SocketAddr) -> ShardPeek {
     }
 }
 
-/// Renders the multi-address overview: one freshness row per shard
-/// (shard order, unsharded last — the merge tiers' fold order), then
-/// the client-side merged ranking and deduplicated ledger counts.
-fn render_overview(peeks: &[ShardPeek], threshold: u64, top_n: usize) -> String {
+/// Renders the multi-address overview: one freshness row per shard in
+/// fold order, then the client-side merged ranking and deduplicated
+/// ledger counts.
+fn render_overview(peeks: &[ShardPeek], lp: &leakprof::LeakProf) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let mut order: Vec<usize> = (0..peeks.len()).collect();
-    order.sort_by_key(|&i| {
-        (
-            peeks[i]
-                .snap
-                .as_ref()
-                .and_then(|s| s.shard.as_ref())
-                .map_or(u32::MAX, |s| s.shard),
-            peeks[i].addr.to_string(),
-        )
+    let mut order: Vec<&ShardPeek> = peeks.iter().collect();
+    order.sort_by_key(|p| {
+        let shard = p.snap.as_ref().and_then(|s| s.shard.as_ref());
+        fold_order(shard, p.addr.to_string())
     });
     let _ = writeln!(
         out,
@@ -737,8 +721,7 @@ fn render_overview(peeks: &[ShardPeek], threshold: u64, top_n: usize) -> String 
     let mut acc = FleetAccumulator::new();
     let mut ledger = ReportLedger::new(Default::default());
     let mut reachable = 0usize;
-    for &i in &order {
-        let p = &peeks[i];
+    for p in order {
         match &p.snap {
             Some(snap) => {
                 reachable += 1;
@@ -759,14 +742,9 @@ fn render_overview(peeks: &[ShardPeek], threshold: u64, top_n: usize) -> String 
                     snap.acc.instances.len(),
                     breakers
                 );
-                match FleetAccumulator::from_snapshot(&snap.acc) {
-                    Ok(shard_acc) => acc.merge(&shard_acc),
-                    Err(e) => {
-                        let _ = writeln!(out, "  warning: bad snapshot from {}: {e}", p.addr);
-                    }
+                if let Err(e) = fold_snapshot(&mut acc, &mut ledger, snap) {
+                    let _ = writeln!(out, "  warning: bad snapshot from {}: {e}", p.addr);
                 }
-                // In-memory ledger: merging entries cannot fail to persist.
-                let _ = ledger.merge_entries(snap.ledger.iter());
             }
             None => {
                 let _ = writeln!(
@@ -787,11 +765,6 @@ fn render_overview(peeks: &[ShardPeek], threshold: u64, top_n: usize) -> String 
         let _ = writeln!(out, "\nno shard answered; nothing to merge");
         return out;
     }
-    let lp = leakprof::LeakProf::new(leakprof::Config {
-        threshold,
-        ast_filter: false,
-        top_n,
-    });
     let _ = writeln!(
         out,
         "\nmerged view ({reachable}/{} shard(s), {} profiles):",
@@ -799,12 +772,7 @@ fn render_overview(peeks: &[ShardPeek], threshold: u64, top_n: usize) -> String 
         acc.profiles_ingested()
     );
     let _ = write!(out, "{}", lp.report_from_accumulator(&acc).render());
-    let s = ledger.summary();
-    let _ = writeln!(
-        out,
-        "ledger: {} site(s) tracked ({} active), {} paged / {} suppressed all-time",
-        s.tracked, s.active, s.reported_total, s.suppressed_total
-    );
+    let _ = writeln!(out, "{}", ledger.summary());
     out
 }
 
@@ -820,8 +788,7 @@ fn top(flags: &[(String, String)]) -> ExitCode {
         };
         let refresh_ms: u64 = parsed(flags, "refresh-ms", 1000);
         let frames: u64 = parsed(flags, "frames", 0);
-        let threshold: u64 = parsed(flags, "threshold", 40);
-        let top_n: usize = parsed(flags, "top", 10);
+        let lp = ranker(flags);
         let mut shown = 0u64;
         loop {
             let peeks: Vec<ShardPeek> = addrs.iter().copied().map(peek_shard).collect();
@@ -829,7 +796,7 @@ fn top(flags: &[(String, String)]) -> ExitCode {
                 print!("\x1b[2J\x1b[H");
             }
             println!("leakprofd top — {} shard(s)", addrs.len());
-            print!("{}", render_overview(&peeks, threshold, top_n));
+            print!("{}", render_overview(&peeks, &lp));
             use std::io::Write as _;
             let _ = std::io::stdout().flush();
             shown += 1;
@@ -1117,9 +1084,6 @@ fn recover(flags: &[(String, String)]) -> ExitCode {
         eprintln!("usage: leakprofd recover --state-dir PATH [--threshold T] [--top N]");
         return ExitCode::from(2);
     };
-    let threshold: u64 = parsed(flags, "threshold", 40);
-    let top_n: usize = parsed(flags, "top", 10);
-
     let store = match SnapshotStore::open(dir) {
         Ok(s) => s,
         Err(e) => {
@@ -1138,23 +1102,18 @@ fn recover(flags: &[(String, String)]) -> ExitCode {
         println!("no durable state in {dir}: a daemon would start fresh");
         return ExitCode::SUCCESS;
     }
-    let mut acc = match &recovery.snapshot {
-        Some(snap) => {
-            println!(
-                "snapshot: cycle {} ({} profiles ingested)",
-                snap.cycle, snap.health.scrapes_ok
-            );
-            match FleetAccumulator::from_snapshot(&snap.acc) {
-                Ok(acc) => acc,
-                Err(e) => {
-                    eprintln!("error: snapshot does not restore: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        None => {
-            println!("no snapshot committed yet");
-            FleetAccumulator::new()
+    match &recovery.snapshot {
+        Some(snap) => println!(
+            "snapshot: cycle {} ({} profiles ingested)",
+            snap.cycle, snap.health.scrapes_ok
+        ),
+        None => println!("no snapshot committed yet"),
+    }
+    let acc = match recovery.replay() {
+        Ok((acc, _)) => acc,
+        Err(e) => {
+            eprintln!("error: snapshot does not restore: {e}");
+            return ExitCode::from(2);
         }
     };
     println!(
@@ -1165,21 +1124,12 @@ fn recover(flags: &[(String, String)]) -> ExitCode {
             None => String::new(),
         }
     );
-    for entry in &recovery.wal {
-        for p in &entry.profiles {
-            acc.ingest(p);
-        }
-    }
     println!(
         "a restarting daemon resumes at cycle {}",
         recovery.last_cycle()
     );
 
-    let mut lp = leakprof::LeakProf::new(leakprof::Config {
-        threshold,
-        ast_filter: false,
-        top_n,
-    });
+    let mut lp = ranker(flags);
     // Sources are not part of durable state, but --source-dir plus the
     // persisted verdict cache recovers the filter too — warm caches
     // answer without parsing anything.
@@ -1198,11 +1148,7 @@ fn recover(flags: &[(String, String)]) -> ExitCode {
     if ledger_path.exists() {
         match ReportLedger::open(&ledger_path, Default::default()) {
             Ok(ledger) => {
-                let s = ledger.summary();
-                println!(
-                    "ledger: {} site(s) tracked ({} active), {} paged / {} suppressed all-time",
-                    s.tracked, s.active, s.reported_total, s.suppressed_total
-                );
+                println!("{}", ledger.summary());
                 for e in ledger.entries() {
                     println!(
                         "  {} episode {} ({:?}) acked-rms {:.1} peak {:.1} owner {}",
@@ -1299,17 +1245,9 @@ fn merge_cmd(flags: &[(String, String)]) -> ExitCode {
             shard, s.cycle, s.profiles_ingested, s.dir
         );
     }
-    let lp = leakprof::LeakProf::new(leakprof::Config {
-        threshold: parsed(flags, "threshold", 40),
-        ast_filter: false,
-        top_n: parsed(flags, "top", 10),
-    });
+    let lp = ranker(flags);
     print!("{}", lp.report_from_accumulator(&merged.acc).render());
-    let s = merged.ledger.summary();
-    println!(
-        "ledger: {} site(s) tracked ({} active), {} paged / {} suppressed all-time",
-        s.tracked, s.active, s.reported_total, s.suppressed_total
-    );
+    println!("{}", merged.ledger.summary());
     if let Some(out) = flag(flags, "out") {
         let out = std::path::Path::new(out);
         if let Err(e) = write_merged(out, &mut merged, &config) {
@@ -1357,11 +1295,7 @@ fn fleet_cmd(flags: &[(String, String)]) -> ExitCode {
             (n > 0).then(|| ShardMap::new(n))
         }
     };
-    let lp = leakprof::LeakProf::new(leakprof::Config {
-        threshold: parsed(flags, "threshold", 40),
-        ast_filter: false,
-        top_n: parsed(flags, "top", 10),
-    });
+    let lp = ranker(flags);
     let fleet = Arc::new(Mutex::new(FleetAggregator::new(
         FleetConfig {
             map,

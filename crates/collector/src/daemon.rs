@@ -302,10 +302,7 @@ impl Daemon {
         tracer.set_service(&service, env!("CARGO_PKG_VERSION"));
         let events = obs::EventLog::new(config.events.clone());
         let board = WorkerBoard::new();
-        let mut acc = FleetAccumulator::new();
-        let mut health = HealthCounters::default();
-        let mut recovered_cycle = 0;
-        let (store, mut ledger) = match &config.state_dir {
+        let (store, mut ledger, acc, health, recovered_cycle) = match &config.state_dir {
             Some(dir) => {
                 let mut store = SnapshotStore::open(dir)?;
                 store.set_tracer(tracer.clone());
@@ -319,22 +316,17 @@ impl Daemon {
                         ),
                     );
                 }
-                if let Some(snap) = &recovery.snapshot {
-                    acc = FleetAccumulator::from_snapshot(&snap.acc)
-                        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-                    health = snap.health.clone();
-                }
-                for entry in &recovery.wal {
-                    for p in &entry.profiles {
-                        acc.ingest(p);
-                    }
-                    health.absorb(&entry.stats);
-                }
-                recovered_cycle = recovery.last_cycle();
+                let (acc, health) = recovery.replay()?;
                 let ledger = ReportLedger::open(dir.join("ledger.json"), config.ledger.clone())?;
-                (Some(store), ledger)
+                (Some(store), ledger, acc, health, recovery.last_cycle())
             }
-            None => (None, ReportLedger::new(config.ledger.clone())),
+            None => (
+                None,
+                ReportLedger::new(config.ledger.clone()),
+                FleetAccumulator::new(),
+                HealthCounters::default(),
+                0,
+            ),
         };
         ledger.set_tracer(tracer.clone());
         let static_tier = match config.static_tier {
@@ -620,16 +612,7 @@ impl Daemon {
     ) {
         {
             let mut span = self.tracer.start(obs::stage::TS_APPEND, "");
-            let mut owned: Vec<(String, f64)> = Vec::new();
-            for s in &analysis.suspects {
-                let fp = sid::site_fingerprint(&s.stats);
-                owned.push((sid::site_rms_id(&fp), s.stats.rms));
-                owned.push((sid::site_total_id(&fp), s.stats.total as f64));
-                owned.push((
-                    sid::site_blocked_id(&fp),
-                    self.acc.raw_site_total(&s.stats.op) as f64,
-                ));
-            }
+            let mut owned = site_points(analysis, &self.acc);
             for a in profiles {
                 owned.push((
                     sid::instance_blocked_id(&a.profile.instance),
@@ -1063,23 +1046,7 @@ impl Daemon {
                 );
             }
         }
-        // Declared only when there is something to sample: a family
-        // with HELP/TYPE and no series is non-conformant exposition.
-        if let Some(report) = self.last_report.as_ref().filter(|r| !r.suspects.is_empty()) {
-            p.family(
-                "leakprofd_suspect_rms",
-                "gauge",
-                "Fleet-wide RMS blocked-goroutine impact per suspect site.",
-            );
-            for s in &report.suspects {
-                let site = s.stats.op.to_string();
-                p.sample(
-                    "leakprofd_suspect_rms",
-                    &[("site", site.as_str())],
-                    s.stats.rms,
-                );
-            }
-        }
+        p.suspect_rms(self.last_report.as_ref());
         let adaptive = self.controller.status();
         p.family(
             "leakprofd_interval_ms",
@@ -1177,63 +1144,26 @@ impl Daemon {
                 s.http_rejected_total,
             );
         }
-        p.family(
-            "leakprofd_build_info",
-            "gauge",
-            "Build metadata; always 1. The version rides the labels.",
-        );
-        match &self.shard {
-            Some(id) => p.sample(
-                "leakprofd_build_info",
-                &[
-                    ("version", env!("CARGO_PKG_VERSION")),
-                    ("role", "daemon"),
-                    ("shard", &format!("{}/{}", id.shard, id.of)),
-                ],
-                1u64,
-            ),
-            None => p.sample(
-                "leakprofd_build_info",
-                &[("version", env!("CARGO_PKG_VERSION")), ("role", "daemon")],
-                1u64,
-            ),
-        }
-        p.family(
-            "leakprofd_obs_dropped_total",
-            "counter",
-            "Observability records dropped at full rings, by kind.",
-        );
-        p.sample(
-            "leakprofd_obs_dropped_total",
-            &[("kind", "span")],
-            self.tracer.spans_dropped(),
-        );
-        p.sample(
-            "leakprofd_obs_dropped_total",
-            &[("kind", "event")],
-            self.events.dropped(),
-        );
-        // Exemplar: the trace id of the worst (slowest) recent cycle,
-        // linking this scrape to its stitched timeline. Declared only
-        // when a traced cycle has completed — a family with HELP/TYPE
-        // and no series is non-conformant exposition.
-        if let Some(w) = self.tracer.worst_cycle() {
-            p.family(
-                "leakprofd_worst_cycle_us",
-                "gauge",
-                "Duration of the slowest recent cycle; its trace id rides the labels.",
-            );
-            p.sample(
-                "leakprofd_worst_cycle_us",
-                &[
-                    ("trace_id", w.trace_id.as_str()),
-                    ("cycle", &w.cycle.to_string()),
-                ],
-                w.dur_us,
-            );
-        }
+        p.process_info("daemon", self.shard.as_ref(), &self.tracer, &self.events);
         p.finish()
     }
+}
+
+/// The per-site trend points of a ranking, keyed by each suspect's
+/// fingerprint: its RMS, its occurrence-weighted total, and its raw
+/// blocked count. Daemon cycles and fleet polls append the same points.
+pub(crate) fn site_points(report: &Report, acc: &FleetAccumulator) -> Vec<(String, f64)> {
+    let mut points = Vec::with_capacity(3 * report.suspects.len());
+    for s in &report.suspects {
+        let fp = sid::site_fingerprint(&s.stats);
+        points.push((sid::site_rms_id(&fp), s.stats.rms));
+        points.push((sid::site_total_id(&fp), s.stats.total as f64));
+        points.push((
+            sid::site_blocked_id(&fp),
+            acc.raw_site_total(&s.stats.op) as f64,
+        ));
+    }
+    points
 }
 
 /// The instance id the daemon serves its own self-profile under.

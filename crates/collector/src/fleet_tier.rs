@@ -25,10 +25,11 @@ use obs::{EventConfig, EventLog, TraceConfig, TraceSnapshot, Tracer};
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveController};
 use crate::breaker::{BreakerConfig, BreakerSet, BreakerState, Decision};
-use crate::daemon::{top_sites, TopSite};
+use crate::daemon::{site_points, top_sites, TopSite};
 use crate::health::{classify_sites, FleetHealth};
 use crate::http::{http_get, HttpConnection, HttpServer, Request, Response};
 use crate::ledger::{LedgerConfig, LedgerSummary, ReportLedger};
+use crate::merge::{fold_order, fold_snapshot};
 use crate::shard::{ApiSnapshot, API_SNAPSHOT_VERSION};
 use crate::stats::PromText;
 
@@ -340,46 +341,26 @@ impl FleetAggregator {
     }
 
     /// Folds the freshest snapshot of every peer into the merged state,
-    /// in shard order (unsharded peers last, ties by address) — the
-    /// same deterministic order `leakprofd merge` folds state dirs in.
+    /// in [`fold_order`] with ties by address.
     fn fold(&mut self) {
         let mut span = self.tracer.start(obs::stage::MERGE, "");
-        let mut order: Vec<usize> = (0..self.peers.len())
-            .filter(|&i| self.peers[i].last.is_some())
+        let mut order: Vec<(&Peer, &ApiSnapshot)> = self
+            .peers
+            .iter()
+            .filter_map(|p| Some((p, p.last.as_ref()?)))
             .collect();
-        order.sort_by_key(|&i| {
-            let snap = self.peers[i].last.as_ref().expect("filtered to Some");
-            (
-                snap.shard.as_ref().map_or(u32::MAX, |s| s.shard),
-                self.peers[i].addr.to_string(),
-            )
-        });
+        order.sort_by_key(|(peer, snap)| fold_order(snap.shard.as_ref(), peer.addr.to_string()));
         span.attr("shards", order.len());
         let mut acc = FleetAccumulator::new();
         let mut ledger = ReportLedger::new(self.ledger_config.clone());
-        for &i in &order {
-            let snap = self.peers[i].last.as_ref().expect("filtered to Some");
-            match FleetAccumulator::from_snapshot(&snap.acc) {
-                Ok(shard_acc) => acc.merge(&shard_acc),
-                Err(e) => self.events.error(
-                    "fleet",
-                    format!("bad snapshot from {}: {e}", self.peers[i].addr),
-                ),
+        for (peer, snap) in order {
+            if let Err(e) = fold_snapshot(&mut acc, &mut ledger, snap) {
+                self.events
+                    .error("fleet", format!("bad snapshot from {}: {e}", peer.addr));
             }
-            // In-memory ledger: merge_entries cannot fail to persist.
-            let _ = ledger.merge_entries(snap.ledger.iter());
         }
         let report = self.lp.report_from_accumulator(&acc);
-        let mut points: Vec<(String, f64)> = Vec::new();
-        for s in &report.suspects {
-            let fp = leakprof::series::site_fingerprint(&s.stats);
-            points.push((leakprof::series::site_rms_id(&fp), s.stats.rms));
-            points.push((leakprof::series::site_total_id(&fp), s.stats.total as f64));
-            points.push((
-                leakprof::series::site_blocked_id(&fp),
-                acc.raw_site_total(&s.stats.op) as f64,
-            ));
-        }
+        let points = site_points(&report, &acc);
         let borrowed: Vec<(&str, f64)> = points.iter().map(|(k, v)| (k.as_str(), *v)).collect();
         if let Err(e) = self.ts.append(self.polls, &borrowed) {
             self.events
@@ -473,22 +454,12 @@ impl FleetAggregator {
     /// — the fleet view is the whole), so `leakprofd status`/`top` can
     /// point at a fleet aggregator exactly like at a daemon.
     pub fn api_snapshot(&self) -> ApiSnapshot {
+        let lasts = || self.peers.iter().filter_map(|p| p.last.as_ref());
         ApiSnapshot {
             version: API_SNAPSHOT_VERSION,
-            cycle: self
-                .peers
-                .iter()
-                .filter_map(|p| p.last.as_ref())
-                .map(|s| s.cycle)
-                .max()
-                .unwrap_or(0),
+            cycle: lasts().map(|s| s.cycle).max().unwrap_or(0),
             shard: None,
-            targets: self
-                .peers
-                .iter()
-                .filter_map(|p| p.last.as_ref())
-                .map(|s| s.targets)
-                .sum(),
+            targets: lasts().map(|s| s.targets).sum(),
             acc: self.acc.snapshot(),
             ledger: self.ledger.entries().cloned().collect(),
         }
@@ -576,62 +547,8 @@ impl FleetAggregator {
             &[],
             status.profiles_ingested,
         );
-        if let Some(report) = &self.last_report {
-            p.family(
-                "leakprofd_suspect_rms",
-                "gauge",
-                "Fleet-wide RMS blocked-goroutine impact per suspect site.",
-            );
-            for s in &report.suspects {
-                let site = s.stats.op.to_string();
-                p.sample(
-                    "leakprofd_suspect_rms",
-                    &[("site", site.as_str())],
-                    s.stats.rms,
-                );
-            }
-        }
-        p.family(
-            "leakprofd_build_info",
-            "gauge",
-            "Build identity; the value is always 1.",
-        );
-        p.sample(
-            "leakprofd_build_info",
-            &[("version", env!("CARGO_PKG_VERSION")), ("role", "fleet")],
-            1u64,
-        );
-        p.family(
-            "leakprofd_obs_dropped_total",
-            "counter",
-            "Observability records dropped because a ring was full.",
-        );
-        p.sample(
-            "leakprofd_obs_dropped_total",
-            &[("kind", "span")],
-            self.tracer.spans_dropped(),
-        );
-        p.sample(
-            "leakprofd_obs_dropped_total",
-            &[("kind", "event")],
-            self.events.dropped(),
-        );
-        if let Some(worst) = self.tracer.worst_cycle() {
-            p.family(
-                "leakprofd_worst_cycle_us",
-                "gauge",
-                "Duration of the slowest recent poll, with its trace id as an exemplar.",
-            );
-            let cycle = worst.cycle.to_string();
-            p.sample(
-                "leakprofd_worst_cycle_us",
-                &[
-                    ("trace_id", worst.trace_id.as_str()),
-                    ("cycle", cycle.as_str()),
-                ],
-                worst.dur_us,
-            );
-        }
+        p.suspect_rms(self.last_report.as_ref());
+        p.process_info("fleet", None, &self.tracer, &self.events);
         p.finish()
     }
 }

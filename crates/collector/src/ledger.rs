@@ -112,6 +112,17 @@ pub struct LedgerSummary {
     pub suppressed_total: u64,
 }
 
+impl std::fmt::Display for LedgerSummary {
+    /// The one-line summary the CLI prints under every ranking.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "ledger: {} site(s) tracked ({} active), {} paged / {} suppressed all-time",
+            self.tracked, self.active, self.reported_total, self.suppressed_total
+        )
+    }
+}
+
 /// On-disk layout (entries kept sorted by fingerprint so saving the same
 /// state twice is byte-identical).
 #[derive(Debug, Clone, Serialize, Deserialize)]

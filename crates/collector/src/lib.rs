@@ -122,8 +122,8 @@ pub use ledger::{
     LEDGER_VERSION,
 };
 pub use merge::{
-    load_shard_state, merge_state_dirs, merge_states, write_merged, MergeConfig, MergedFleet,
-    ShardState, ShardSummary,
+    fold_order, fold_snapshot, load_shard_state, merge_state_dirs, merge_states, write_merged,
+    MergeConfig, MergedFleet, ShardState, ShardSummary,
 };
 pub use obs::{FlameGraph, FlameNode, FlameOptions};
 pub use push::{

@@ -11,6 +11,11 @@
 //! ([`ReportLedger::merge_entry`] conflict rules) and telemetry stores
 //! are folded bucket-by-bucket ([`TsStore::merge`]), oldest shard
 //! first for a deterministic result.
+//!
+//! Every fold in the collector — this one, the live
+//! [`crate::FleetAggregator`], and `leakprofd status --addr …` — walks
+//! its inputs in the one order [`fold_order`] defines, and the two that
+//! fold live `/api/snapshot` documents do it through [`fold_snapshot`].
 
 use std::path::{Path, PathBuf};
 
@@ -19,7 +24,7 @@ use shardmap::ShardIdentity;
 use timeseries::{StoreConfig, TsStore};
 
 use crate::ledger::{LedgerConfig, ReportLedger};
-use crate::shard::read_tag;
+use crate::shard::{read_tag, ApiSnapshot};
 use crate::snapshot::{DaemonSnapshot, SnapshotStore, DAEMON_SNAPSHOT_VERSION};
 use crate::stats::HealthCounters;
 
@@ -51,6 +56,31 @@ pub struct ShardState {
     pub ts: TsStore,
 }
 
+/// The sort key of the one fold order every merge tier uses: shard
+/// index, unsharded last, ties broken by `tiebreak` (the state dir or
+/// the peer address).
+pub fn fold_order<K: Ord>(shard: Option<&ShardIdentity>, tiebreak: K) -> (u32, K) {
+    (shard.map_or(u32::MAX, |id| id.shard), tiebreak)
+}
+
+/// Folds one live `/api/snapshot` document into a merged accumulator
+/// and in-memory ledger; callers add documents in [`fold_order`]. Its
+/// ledger entries always merge, its accumulator only if it restores.
+///
+/// # Errors
+///
+/// Why the document's accumulator did not restore.
+pub fn fold_snapshot(
+    acc: &mut FleetAccumulator,
+    ledger: &mut ReportLedger,
+    snap: &ApiSnapshot,
+) -> Result<(), String> {
+    // In-memory ledger: merging entries cannot fail to persist.
+    let _ = ledger.merge_entries(snap.ledger.iter());
+    acc.merge(&FleetAccumulator::from_snapshot(&snap.acc)?);
+    Ok(())
+}
+
 /// Recovers one shard's state dir exactly like a restarting daemon
 /// would: snapshot, then WAL replay on top.
 ///
@@ -60,21 +90,8 @@ pub struct ShardState {
 /// version-mismatched state.
 pub fn load_shard_state(dir: &Path, config: &MergeConfig) -> std::io::Result<ShardState> {
     let identity = read_tag(dir)?;
-    let store = SnapshotStore::open(dir)?;
-    let recovery = store.recover()?;
-    let mut acc = FleetAccumulator::new();
-    let mut health = HealthCounters::default();
-    if let Some(snap) = &recovery.snapshot {
-        acc = FleetAccumulator::from_snapshot(&snap.acc)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        health = snap.health.clone();
-    }
-    for entry in &recovery.wal {
-        for p in &entry.profiles {
-            acc.ingest(p);
-        }
-        health.absorb(&entry.stats);
-    }
+    let recovery = SnapshotStore::open(dir)?.recover()?;
+    let (acc, health) = recovery.replay()?;
     let cycle = recovery.last_cycle();
     let ledger = ReportLedger::open(dir.join("ledger.json"), config.ledger.clone())?;
     let ts = TsStore::open(dir.join("ts"), config.ts.clone())?;
@@ -121,12 +138,10 @@ pub struct MergedFleet {
     pub shards: Vec<ShardSummary>,
 }
 
-/// Folds shard states into one fleet-wide state. The fold order is
-/// deterministic — by shard index, unsharded last, ties by dir — and
-/// matches the live fleet aggregator's, so both tiers produce the same
-/// bytes. (The accumulator and ledger merges are order-independent
-/// anyway; the ts fold is where order is observable, via open-bucket
-/// `last` values on series shared across shards.)
+/// Folds shard states into one fleet-wide state, in [`fold_order`]
+/// with ties by dir. (The accumulator and ledger merges are
+/// order-independent anyway; the ts fold is where order is observable,
+/// via open-bucket `last` values on series shared across shards.)
 ///
 /// # Errors
 ///
@@ -137,8 +152,7 @@ pub fn merge_states(
     config: &MergeConfig,
 ) -> std::io::Result<MergedFleet> {
     states.sort_by(|a, b| {
-        let key = |s: &ShardState| s.identity.as_ref().map_or(u32::MAX, |id| id.shard);
-        (key(a), a.dir.clone()).cmp(&(key(b), b.dir.clone()))
+        fold_order(a.identity.as_ref(), &a.dir).cmp(&fold_order(b.identity.as_ref(), &b.dir))
     });
     let mut acc = FleetAccumulator::new();
     let mut health = HealthCounters::default();

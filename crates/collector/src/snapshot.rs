@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 
 use durable::{AppendLog, SyncMode};
 use gosim::GoroutineProfile;
-use leakprof::AccumulatorSnapshot;
+use leakprof::{AccumulatorSnapshot, FleetAccumulator};
 use serde::{Deserialize, Serialize};
 
 use crate::stats::{CycleStats, HealthCounters};
@@ -105,6 +105,34 @@ impl Recovery {
             .map(|e| e.cycle)
             .or_else(|| self.snapshot.as_ref().map(|s| s.cycle))
             .unwrap_or(0)
+    }
+
+    /// Rebuilds the analysis state this recovery describes: the
+    /// snapshot's accumulator and health counters (empty without one),
+    /// then every WAL entry's profiles ingested and its stats absorbed
+    /// on top. Every reader of a state dir — a restarting daemon,
+    /// `leakprofd merge`, `leakprofd recover` — resumes through here.
+    ///
+    /// # Errors
+    ///
+    /// [`std::io::ErrorKind::InvalidData`] if the snapshot's
+    /// accumulator does not restore.
+    pub fn replay(&self) -> std::io::Result<(FleetAccumulator, HealthCounters)> {
+        let (mut acc, mut health) = match &self.snapshot {
+            Some(snap) => (
+                FleetAccumulator::from_snapshot(&snap.acc)
+                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?,
+                snap.health.clone(),
+            ),
+            None => (FleetAccumulator::new(), HealthCounters::default()),
+        };
+        for entry in &self.wal {
+            for p in &entry.profiles {
+                acc.ingest(p);
+            }
+            health.absorb(&entry.stats);
+        }
+        Ok((acc, health))
     }
 }
 
@@ -234,7 +262,6 @@ mod tests {
     use super::*;
     use gosim::Gid;
     use gosim::{Frame, GoStatus, GoroutineRecord, Loc};
-    use leakprof::FleetAccumulator;
 
     fn temp_dir(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -335,6 +362,10 @@ mod tests {
             "entries already folded into the snapshot are skipped"
         );
         assert_eq!(rec.last_cycle(), 4);
+        // Replay folds exactly the fresh entries onto the snapshot.
+        let (acc, health) = rec.replay().unwrap();
+        assert_eq!(acc.profiles_ingested(), 2);
+        assert_eq!(health.cycles, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,8 +1,10 @@
 //! Scrape-health telemetry: latency histograms and per-cycle counters
 //! the daemon exposes on its own `/metrics` endpoint and in `status`.
 
-use obs::LatencyHistogram;
+use leakprof::Report;
+use obs::{EventLog, LatencyHistogram, Tracer};
 use serde::{Deserialize, Serialize};
+use shardmap::ShardIdentity;
 
 /// Builds Prometheus text exposition incrementally, enforcing the
 /// format every scraper expects: each metric family is announced with
@@ -69,6 +71,71 @@ impl PromText {
     /// The finished exposition text.
     pub fn finish(self) -> String {
         self.out
+    }
+
+    /// `leakprofd_suspect_rms`: each ranked site's fleet-wide RMS. Like
+    /// every family, it is declared only when it has a sample — HELP
+    /// and TYPE with no series is non-conformant exposition.
+    pub fn suspect_rms(&mut self, report: Option<&Report>) {
+        const NAME: &str = "leakprofd_suspect_rms";
+        let Some(report) = report.filter(|r| !r.suspects.is_empty()) else {
+            return;
+        };
+        self.family(
+            NAME,
+            "gauge",
+            "Fleet-wide RMS blocked-goroutine impact per suspect site.",
+        );
+        for s in &report.suspects {
+            self.sample(NAME, &[("site", &s.stats.op.to_string())], s.stats.rms);
+        }
+    }
+
+    /// The process's own families, shared by every role: the
+    /// `leakprofd_build_info` gauge (labelled with `role` and, when
+    /// sharded, `shard`), `leakprofd_obs_dropped_total` per ring, and
+    /// the `leakprofd_worst_cycle_us` exemplar naming the slowest
+    /// recent cycle's trace (once a traced cycle has completed).
+    pub fn process_info(
+        &mut self,
+        role: &str,
+        shard: Option<&ShardIdentity>,
+        tracer: &Tracer,
+        events: &EventLog,
+    ) {
+        const BUILD: &str = "leakprofd_build_info";
+        const DROPPED: &str = "leakprofd_obs_dropped_total";
+        const WORST: &str = "leakprofd_worst_cycle_us";
+        self.family(
+            BUILD,
+            "gauge",
+            "Build metadata; always 1. Version, role and shard ride the labels.",
+        );
+        let shard = shard.map(|id| format!("{}/{}", id.shard, id.of));
+        let mut labels = vec![("version", env!("CARGO_PKG_VERSION")), ("role", role)];
+        if let Some(shard) = &shard {
+            labels.push(("shard", shard));
+        }
+        self.sample(BUILD, &labels, 1u64);
+        self.family(
+            DROPPED,
+            "counter",
+            "Observability records dropped at full rings, by kind.",
+        );
+        self.sample(DROPPED, &[("kind", "span")], tracer.spans_dropped());
+        self.sample(DROPPED, &[("kind", "event")], events.dropped());
+        if let Some(w) = tracer.worst_cycle() {
+            self.family(
+                WORST,
+                "gauge",
+                "Duration of the slowest recent cycle or poll; its trace id rides the labels.",
+            );
+            self.sample(
+                WORST,
+                &[("trace_id", &w.trace_id), ("cycle", &w.cycle.to_string())],
+                w.dur_us,
+            );
+        }
     }
 }
 

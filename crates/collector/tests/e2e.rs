@@ -297,3 +297,50 @@ fn daemon_accumulates_across_cycles_with_persistent_fault() {
     assert_eq!(walls.len(), 3);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The production-monitor loop over loopback TCP: after 2 cycles (the
+/// fleet advancing a day in between) the daemon's ranking is
+/// byte-identical to the offline analyzer over every delivered profile,
+/// and it finds the leaky services. This pins today's
+/// accumulate-across-cycles semantics.
+#[test]
+fn daemon_ranking_matches_offline_analysis_and_finds_leaks() {
+    let mut demo = DemoFleet::build(8, 1, 3);
+    let server = demo.hub.serve("127.0.0.1:0", 8).expect("loopback bind");
+    let targets = demo.targets(server.addr());
+    let lp = demo.leakprof(40, 10);
+    let mut daemon =
+        Daemon::new(DaemonConfig::default(), demo.leakprof(40, 10), targets).expect("daemon");
+
+    // Every profile the scraper delivered, in ingestion order.
+    let mut delivered: Vec<GoroutineProfile> = Vec::new();
+    for cycle in 0..2 {
+        if cycle > 0 {
+            demo.advance_and_republish(1);
+        }
+        delivered.extend(daemon.run_cycle().profiles);
+    }
+    assert_eq!(daemon.health().scrapes_failed, 0);
+    assert!(daemon.health().scrapes_ok > 0);
+    let report = daemon.last_report().expect("two cycles ran");
+    // The streamed pipeline must agree with the offline analyzer
+    // byte-for-byte on the same profiles.
+    assert_eq!(
+        serde_json::to_string(report).unwrap(),
+        serde_json::to_string(&lp.analyze(&delivered)).unwrap()
+    );
+    let true_positives = report
+        .suspects
+        .iter()
+        .filter(|s| {
+            demo.leak_sites
+                .iter()
+                .any(|(f, l)| s.stats.op.loc.file.as_ref() == f && s.stats.op.loc.line == *l)
+        })
+        .count();
+    assert!(
+        true_positives >= 2,
+        "networked sweep finds the leaky services\n{}",
+        report.render()
+    );
+}

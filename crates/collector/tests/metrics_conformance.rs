@@ -1,13 +1,16 @@
-//! `/metrics` conformance: the daemon's exposition must follow the
-//! Prometheus text format line grammar — every family announced with
+//! `/metrics` conformance: the daemon's and the fleet aggregator's
+//! expositions must follow the Prometheus text format line grammar — every family announced with
 //! `# HELP` and `# TYPE` before its samples, all names under the
 //! `leakprofd_` prefix, family lines grouped, label syntax and sample
 //! values well-formed. The checker below parses the grammar directly
 //! rather than substring-matching, so a malformed line anywhere fails.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
-use collector::{Daemon, DaemonConfig, DemoFleet, PromText};
+use collector::{
+    serve_daemon_endpoints, Daemon, DaemonConfig, DemoFleet, FleetAggregator, FleetConfig, PromText,
+};
 use leakprof::LeakProf;
 
 #[derive(Default)]
@@ -308,6 +311,56 @@ fn ingest_enabled_daemon_exposes_conformant_push_families() {
     // Two profile pushes plus the garbage one, whatever their fate.
     assert!(text.contains("leakprofd_ingest_push_total 3"));
     assert!(text.contains("reason=\"bad_request\""));
+}
+
+/// A fleet aggregator's `/metrics` after one poll of a daemon over a
+/// 4-instance demo fleet, both ranking at `threshold`.
+fn polled_fleet_metrics(threshold: u64) -> String {
+    let demo = DemoFleet::build(4, 2, 7);
+    let server = demo.hub.serve("127.0.0.1:0", 2).unwrap();
+    let lp = || {
+        LeakProf::new(leakprof::Config {
+            threshold,
+            ast_filter: false,
+            top_n: 5,
+        })
+    };
+    let mut daemon =
+        Daemon::new(DaemonConfig::default(), lp(), demo.targets(server.addr())).unwrap();
+    daemon.run_cycle();
+    let endpoint = serve_daemon_endpoints(Arc::new(Mutex::new(daemon)), "127.0.0.1:0").unwrap();
+    let mut fleet = FleetAggregator::new(FleetConfig::new(vec![endpoint.addr()]), lp());
+    assert_eq!(fleet.poll_once(), 1);
+    fleet.metrics_text()
+}
+
+#[test]
+fn zero_suspect_fleet_metrics_conform() {
+    let text = polled_fleet_metrics(1_000_000);
+    assert_conformant(&text);
+    assert!(!text.contains("leakprofd_suspect_rms"), "{text}");
+}
+
+#[test]
+fn busy_fleet_metrics_conform_and_carry_the_shared_families() {
+    let text = polled_fleet_metrics(1);
+    assert_conformant(&text);
+    for family in [
+        "leakprofd_fleet_polls_total",
+        "leakprofd_suspect_rms",
+        "leakprofd_build_info",
+        "leakprofd_obs_dropped_total",
+        "leakprofd_worst_cycle_us",
+    ] {
+        assert!(
+            text.contains(&format!("# TYPE {family} ")),
+            "missing family {family}"
+        );
+    }
+    assert!(text.contains(&format!(
+        "leakprofd_build_info{{version=\"{}\",role=\"fleet\"}} 1",
+        env!("CARGO_PKG_VERSION")
+    )));
 }
 
 #[test]

@@ -1,15 +1,17 @@
 //! Differential end-to-end tests for sharded collection: N shard
 //! daemons covering disjoint slices of one fleet must merge — via
-//! `leakprofd merge` over state dirs AND via the live fleet aggregator
-//! — to the byte-identical ranking a single whole-fleet daemon
-//! computes, and stay correct across a shard kill + recovery.
+//! `leakprofd merge` over state dirs, via the live fleet aggregator,
+//! AND via the client-side fold behind `leakprofd status --addr …` —
+//! to the byte-identical ranking a single whole-fleet daemon computes,
+//! and stay correct across a shard kill + recovery.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use collector::{
-    merge_state_dirs, serve_daemon_endpoints, Daemon, DaemonConfig, DemoFleet, FleetAggregator,
-    FleetConfig, MergeConfig, ScrapeConfig, ShardSpec,
+    fold_order, fold_snapshot, http_get, merge_state_dirs, serve_daemon_endpoints, ApiSnapshot,
+    Daemon, DaemonConfig, DemoFleet, FleetAggregator, FleetConfig, MergeConfig, ReportLedger,
+    ScrapeConfig, ShardSpec,
 };
 use shardmap::ShardMap;
 
@@ -121,6 +123,37 @@ fn three_shard_merge_matches_whole_fleet_byte_for_byte() {
         fleet_json, whole_json,
         "live fleet merge must be byte-identical to the whole-fleet daemon"
     );
+
+    // Path 2: the client-side fold `leakprofd status --addr …` runs
+    // over the shards' /api/snapshot documents.
+    let mut snaps: Vec<(String, ApiSnapshot)> = endpoints
+        .iter()
+        .map(|e| {
+            let body = http_get(
+                e.addr(),
+                "/api/snapshot",
+                Duration::from_millis(1000),
+                Duration::from_millis(2000),
+            )
+            .expect("GET /api/snapshot");
+            let snap = serde_json::from_str(std::str::from_utf8(&body).expect("utf-8"))
+                .expect("api snapshot parses");
+            (e.addr().to_string(), snap)
+        })
+        .collect();
+    snaps.sort_by_key(|(addr, snap)| fold_order(snap.shard.as_ref(), addr.clone()));
+    let mut acc = leakprof::FleetAccumulator::new();
+    let mut ledger = ReportLedger::new(Default::default());
+    for (_, snap) in &snaps {
+        fold_snapshot(&mut acc, &mut ledger, snap).expect("shard snapshot restores");
+    }
+    let client_json = report_json(&lp().report_from_accumulator(&acc));
+    assert_eq!(
+        client_json, whole_json,
+        "client-side fold must be byte-identical to the whole-fleet daemon"
+    );
+    assert_eq!(client_json, fleet_json, "and to the live fleet merge");
+
     let status = fleet.status();
     assert_eq!(status.stale_shards, 0);
     assert_eq!(status.map_version, Some(1));
@@ -146,7 +179,7 @@ fn three_shard_merge_matches_whole_fleet_byte_for_byte() {
         d.commit_snapshot().expect("checkpoint");
     }
 
-    // Path 2: the offline merge over the three state dirs — the killed
+    // Path 3: the offline merge over the three state dirs — the killed
     // shard's dir included, recovered via WAL replay.
     let merged = merge_state_dirs(&dirs, &MergeConfig::default()).expect("offline merge");
     assert_eq!(merged.cycle, CYCLES as u64);

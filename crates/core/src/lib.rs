@@ -10,8 +10,8 @@
 //! * **Production monitor** ([`evaluate::evaluate_leakprof`] and the
 //!   `fleet` crate): daily profile sweeps feed [`leakprof`], which
 //!   thresholds, filters, ranks by RMS, and routes reports to owners.
-//!   [`monitor`] runs the same sweep the way production does — over real
-//!   loopback TCP through the `collector` crate's `leakprofd` scraper.
+//!   The `collector` crate's `leakprofd` daemon runs the same sweep the
+//!   way production does, over real TCP.
 //!
 //! Plus the experiment harnesses:
 //!
@@ -40,7 +40,6 @@
 pub mod backtest;
 pub mod ci;
 pub mod evaluate;
-pub mod monitor;
 
 pub use backtest::{run as run_backtest, BacktestConfig, BacktestResult};
 pub use ci::{CiConfig, CiGate, PrResult, TestOutcome};
@@ -48,4 +47,3 @@ pub use evaluate::{
     evaluate_goleak, evaluate_leakprof, evaluate_leakprof_with_threshold, evaluate_static,
     render_table3, ToolEval,
 };
-pub use monitor::{monitor_via_collector, MonitorConfig, MonitorOutcome};
