@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gosim::{Frame, Gid, GoStatus, GoroutineProfile, GoroutineRecord, Loc};
-use leakprof::{aggregate, aggregate_parallel, Config, SourceIndex};
+use leakprof::{aggregate, aggregate_parallel, Config, VerdictSet};
 use std::hint::black_box;
 
 fn synth_profile(instance: usize, goroutines: usize) -> GoroutineProfile {
@@ -47,7 +47,7 @@ fn bench_throughput(c: &mut Criterion) {
         ast_filter: false,
         top_n: 10,
     };
-    let index = SourceIndex::new();
+    let index = VerdictSet::new();
     let mut group = c.benchmark_group("leakprof");
     for profiles in [200usize, 1_000] {
         // ~2000 goroutines per process, the paper's median.

@@ -8,7 +8,7 @@
 //! and shows how each metric ranks them.
 
 use gosim::{Frame, Gid, GoStatus, GoroutineProfile, GoroutineRecord, Loc};
-use leakprof::{aggregate, rms, Config, SourceIndex};
+use leakprof::{aggregate, rms, Config, VerdictSet};
 
 fn blocked(gid: u64, file: &str, line: u32) -> GoroutineRecord {
     GoroutineRecord {
@@ -52,7 +52,7 @@ fn main() {
         ast_filter: false,
         top_n: 10,
     };
-    let stats = aggregate(&profiles, &cfg, &SourceIndex::new());
+    let stats = aggregate(&profiles, &cfg, &VerdictSet::new());
 
     let mut table = String::from("site        | total | max_inst | mean   | rms\n");
     table.push_str("------------+-------+----------+--------+-------\n");

@@ -5,7 +5,7 @@
 //! leakprofd serve       [--instances N] [--days D] [--seed S] [--port P]
 //!                       [--cycles N] [--interval-ms MS] [--threshold T]
 //!                       [--top N] [--state-dir PATH] [--snapshot-every N]
-//!                       [--source-dir PATH] [--ast-filter]
+//!                       [--source-dir PATH]
 //!                       [--keepalive BOOL] [--adaptive]
 //!                       [--interval-min-ms MS] [--interval-max-ms MS]
 //!                       [--shard I/N] [--shard-map PATH]
@@ -13,7 +13,7 @@
 //!                       [--accept-pending N] [--http-workers N]
 //! leakprofd scrape-once [--addr HOST:PORT] [--instances N] [--days D]
 //!                       [--seed S] [--threshold T] [--top N] [--workers N]
-//!                       [--source-dir PATH] [--ast-filter]
+//!                       [--source-dir PATH]
 //! leakprofd status      --addr HOST:PORT [--addr ...]
 //! leakprofd top         --addr HOST:PORT [--addr ...] [--refresh-ms MS]
 //!                       [--frames N]
@@ -35,17 +35,13 @@
 //!                       [--heartbeat N] [--interval-ms MS] [--seed S]
 //! ```
 //!
-//! The criterion-2 static filter defaults to **off**. Two ways to turn
-//! it on:
-//!
-//! * `--source-dir PATH` enables the daemon's static tier: sources under
-//!   PATH are parsed once, their transient verdicts cached in a
-//!   persistent `verdicts.json` (in `--state-dir` when given), and every
-//!   later cycle — and every later daemon start — answers filter queries
-//!   from the cache without parsing. Demo modes write the fleet's
-//!   handler sources into PATH first.
-//! * `--ast-filter` (demo modes only) uses the legacy in-memory AST
-//!   index instead, re-indexing sources at startup.
+//! The criterion-2 static filter defaults to **off**. `--source-dir
+//! PATH` turns it on by enabling the daemon's static tier: sources under
+//! PATH are parsed once, their transient verdicts cached in a persistent
+//! `verdicts.json` (in `--state-dir` when given, else in PATH), and
+//! every later cycle — and every later daemon start — answers filter
+//! queries from the cache without parsing. Demo modes write the fleet's
+//! handler sources into PATH first.
 //!
 //! * `serve` stands up a demo fleet behind one loopback HTTP listener,
 //!   then runs scrape cycles against it, exposing the daemon's own
@@ -172,14 +168,14 @@ fn usage() {
         "usage: leakprofd <serve|scrape-once|status|top|trace|flame|recover|backtest|merge|fleet|chaos|push|racecheck> [flags]\n\
          \x20 serve       [--instances N] [--days D] [--seed S] [--port P] [--cycles N]\n\
          \x20             [--interval-ms MS] [--threshold T] [--top N]\n\
-         \x20             [--state-dir PATH] [--snapshot-every N] [--source-dir PATH] [--ast-filter]\n\
+         \x20             [--state-dir PATH] [--snapshot-every N] [--source-dir PATH]\n\
          \x20             [--race-dir PATH]\n\
          \x20             [--adaptive] [--interval-min-ms MS] [--interval-max-ms MS]\n\
          \x20             [--shard I/N] [--shard-map PATH]\n\
          \x20             [--push] [--push-queue N] [--push-shards N] [--accept-pending N]\n\
          \x20             [--http-workers N] [--tail-sample]\n\
          \x20 scrape-once [--addr HOST:PORT] [--instances N] [--days D] [--seed S]\n\
-         \x20             [--threshold T] [--top N] [--workers N] [--source-dir PATH] [--ast-filter]\n\
+         \x20             [--threshold T] [--top N] [--workers N] [--source-dir PATH]\n\
          \x20 status      --addr HOST:PORT [--addr ...] [--threshold T] [--top N]\n\
          \x20 top         --addr HOST:PORT [--addr ...] [--refresh-ms MS] [--frames N]\n\
          \x20             [--threshold T] [--top N]\n\
@@ -207,13 +203,9 @@ fn parsed<T: std::str::FromStr>(flags: &[(String, String)], name: &str, default:
         .unwrap_or(default)
 }
 
-/// Builds the static-tier config when `--source-dir` is present. The
-/// verdict cache lands in the state dir when one is configured,
-/// otherwise as `verdicts.json` beside the sources (only `.go` files
-/// are scanned, so the cache never shadows a source file).
 /// The ranking every subcommand starts from: `--threshold` (default
-/// 40) and `--top` (default 10), AST filter off — a static tier turns it
-/// on when one is configured.
+/// 40) and `--top` (default 10), criterion-2 filter off — a static tier
+/// turns it on when one is configured.
 fn ranker(flags: &[(String, String)]) -> leakprof::LeakProf {
     leakprof::LeakProf::new(leakprof::Config {
         threshold: parsed(flags, "threshold", 40),
@@ -222,22 +214,17 @@ fn ranker(flags: &[(String, String)]) -> leakprof::LeakProf {
     })
 }
 
+/// Builds the static-tier config when `--source-dir` is present. The
+/// verdict cache lands in the state dir when one is configured,
+/// otherwise as `verdicts.json` beside the sources (only `.go` files
+/// are scanned, so the cache never shadows a source file).
 fn static_tier_config(
     flags: &[(String, String)],
     state_dir: Option<&std::path::Path>,
 ) -> Option<collector::StaticTierConfig> {
-    let source_dir = std::path::PathBuf::from(flag(flags, "source-dir")?);
-    Some(match state_dir {
-        Some(dir) => collector::StaticTierConfig::in_state_dir(source_dir, dir),
-        None => {
-            let cache_path = source_dir.join("verdicts.json");
-            collector::StaticTierConfig {
-                source_dir,
-                cache_path,
-                threads: 4,
-            }
-        }
-    })
+    let src = std::path::PathBuf::from(flag(flags, "source-dir")?);
+    let dir = state_dir.unwrap_or(&src).to_path_buf();
+    Some(collector::StaticTierConfig::in_state_dir(src, &dir))
 }
 
 /// Builds the race-tier config when `--race-dir` is present. The
@@ -247,18 +234,9 @@ fn race_tier_config(
     flags: &[(String, String)],
     state_dir: Option<&std::path::Path>,
 ) -> Option<collector::RaceTierConfig> {
-    let source_dir = std::path::PathBuf::from(flag(flags, "race-dir")?);
-    Some(match state_dir {
-        Some(dir) => collector::RaceTierConfig::in_state_dir(source_dir, dir),
-        None => {
-            let cache_path = source_dir.join("races.json");
-            collector::RaceTierConfig {
-                source_dir,
-                cache_path,
-                run: racecheck::RunConfig::default(),
-            }
-        }
-    })
+    let src = std::path::PathBuf::from(flag(flags, "race-dir")?);
+    let dir = state_dir.unwrap_or(&src).to_path_buf();
+    Some(collector::RaceTierConfig::in_state_dir(src, &dir))
 }
 
 /// Parses `--shard I/N` (+ optional `--shard-map PATH`) into a
@@ -315,9 +293,6 @@ fn build_demo(flags: &[(String, String)]) -> (DemoFleet, collector::HttpServer) 
 }
 
 fn scrape_once(flags: &[(String, String)]) -> ExitCode {
-    let threshold: u64 = parsed(flags, "threshold", 40);
-    let top_n: usize = parsed(flags, "top", 10);
-    let ast_filter: bool = parsed(flags, "ast-filter", false);
     let static_tier = static_tier_config(flags, None);
     let scrape = ScrapeConfig {
         workers: parsed(flags, "workers", 0),
@@ -382,14 +357,9 @@ fn scrape_once(flags: &[(String, String)]) -> ExitCode {
                 }
             }
             let targets = demo.targets(server.addr());
-            let lp = if ast_filter && static_tier.is_none() {
-                demo.leakprof(threshold, top_n)
-            } else {
-                ranker(flags)
-            };
             demo_parts = (demo, server);
             let _ = &demo_parts;
-            (lp, targets)
+            (ranker(flags), targets)
         }
     };
 
@@ -431,13 +401,10 @@ fn scrape_once(flags: &[(String, String)]) -> ExitCode {
 }
 
 fn serve(flags: &[(String, String)]) -> ExitCode {
-    let threshold: u64 = parsed(flags, "threshold", 40);
-    let top_n: usize = parsed(flags, "top", 10);
     let cycles: u64 = parsed(flags, "cycles", 0);
     let interval_ms: u64 = parsed(flags, "interval-ms", 1000);
     let port: u16 = parsed(flags, "port", 0);
 
-    let ast_filter: bool = parsed(flags, "ast-filter", false);
     let state_dir = flag(flags, "state-dir").map(std::path::PathBuf::from);
     let static_tier = static_tier_config(flags, state_dir.as_deref());
     let race_tier = race_tier_config(flags, state_dir.as_deref());
@@ -457,13 +424,9 @@ fn serve(flags: &[(String, String)]) -> ExitCode {
         }
     }
     let targets = demo.targets(fleet_server.addr());
-    let lp = if ast_filter && static_tier.is_none() {
-        demo.leakprof(threshold, top_n)
-    } else {
-        // With --source-dir the daemon's static tier installs cached
-        // verdicts and turns the filter on itself.
-        ranker(flags)
-    };
+    // With --source-dir the daemon's static tier installs cached
+    // verdicts and turns the filter on itself.
+    let lp = ranker(flags);
 
     let config = DaemonConfig {
         scrape: ScrapeConfig {
@@ -1554,62 +1517,37 @@ fn push_cmd(flags: &[(String, String)]) -> ExitCode {
     }
 }
 
-/// Reads every `.go` file under `dir` as `(text, rel_path)` pairs in
-/// deterministic (sorted) order.
-fn read_go_tree(dir: &std::path::Path) -> std::io::Result<Vec<(String, String)>> {
-    fn walk(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) -> std::io::Result<()> {
-        for entry in std::fs::read_dir(dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            if entry.file_type()?.is_dir() {
-                walk(&path, out)?;
-            } else if path.extension().is_some_and(|e| e == "go") {
-                out.push(path);
-            }
-        }
-        Ok(())
-    }
-    let mut files = Vec::new();
-    walk(dir, &mut files)?;
-    files.sort();
-    let mut sources = Vec::with_capacity(files.len());
-    for path in files {
-        let text = std::fs::read_to_string(&path)?;
-        let rel = path
-            .strip_prefix(dir)
-            .unwrap_or(&path)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
-        sources.push((text, rel));
-    }
-    Ok(sources)
-}
-
 /// `leakprofd racecheck --dir PATH`: one-shot happens-before race
 /// detection over a source tree. Compiles every `.go` file in race
 /// mode, runs every zero-arg entry point (or just `--entry NAME`) under
 /// the vector-clock engine, and reports the findings `go run -race`
 /// style (or as JSON with `--json`). Exit 0 when race-free, 1 when
-/// races were found, 2 on compile/IO errors.
+/// races were found, 2 on compile/IO errors (a `.go` file that is not
+/// valid UTF-8 among them).
 fn racecheck_cmd(flags: &[(String, String)]) -> ExitCode {
     let Some(dir) = flag(flags, "dir") else {
         eprintln!("error: racecheck requires --dir PATH");
         return ExitCode::from(2);
     };
     let dir = std::path::PathBuf::from(dir);
-    let sources = match read_go_tree(&dir) {
-        Ok(s) => s,
+    let files = match collector::source_tree::read_go_tree(&dir) {
+        Ok(f) => f,
         Err(e) => {
             eprintln!("error: cannot read {}: {e}", dir.display());
             return ExitCode::from(2);
         }
     };
-    if sources.is_empty() {
+    if files.is_empty() {
         eprintln!("error: no .go files under {}", dir.display());
         return ExitCode::from(2);
     }
+    let sources = match collector::source_tree::into_sources(files) {
+        Ok(s) => s,
+        Err(rel) => {
+            eprintln!("error: {rel}: not valid UTF-8");
+            return ExitCode::from(2);
+        }
+    };
     let cfg = racecheck::RunConfig {
         seed: parsed(flags, "seed", 13u64),
         ticks: parsed(flags, "ticks", 5_000u64),

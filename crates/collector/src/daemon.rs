@@ -51,7 +51,7 @@ pub struct DaemonConfig {
     /// Report cool-down tuning.
     pub ledger: LedgerConfig,
     /// Static analysis tier (criterion-2 verdict cache over a source
-    /// tree). `None` leaves the AST filter off, as before.
+    /// tree). `None` leaves the criterion-2 filter off.
     pub static_tier: Option<StaticTierConfig>,
     /// Race detection tier (happens-before suspects over a source
     /// tree, cached by tree fingerprint). `None` disables race

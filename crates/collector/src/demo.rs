@@ -15,7 +15,7 @@ pub struct DemoFleet {
     pub fleet: Fleet,
     /// Hub holding the latest published profiles.
     pub hub: ProfileHub,
-    /// Handler sources, for LeakProf's criterion-2 AST index.
+    /// Handler sources, for LeakProf's criterion-2 filter.
     pub sources: Vec<(String, String)>,
     /// Ground-truth leak sites `(file, line)` injected into the fleet.
     pub leak_sites: Vec<(String, u32)>,

@@ -42,6 +42,7 @@ use gosim::rng::SplitMix64;
 use gosim::GoroutineProfile;
 use obs::{EventLog, LatencyHistogram};
 use serde::{Deserialize, Serialize};
+use shardmap::fnv1a;
 
 use crate::http::Response;
 
@@ -459,16 +460,6 @@ fn absorber_loop(shard: usize, rx: Receiver<GoroutineProfile>, shared: Arc<Inges
 /// single shard queue.
 fn shard_of(instance: &str, shards: usize) -> usize {
     (fnv1a(instance.as_bytes()) % shards as u64) as usize
-}
-
-/// FNV-1a, the repo's standard cheap stable hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Merges the pull tier's scraped profiles with the push tier's drained

@@ -33,6 +33,9 @@
 //! * [`static_tier`] — persistent, content-addressed criterion-2
 //!   verdict cache: each source file is parsed once, reused across
 //!   cycles and restarts.
+//! * [`source_tree`] — the one reader of a `.go` source tree (sorted
+//!   relative paths, raw bytes, FNV-1a fingerprints) behind both source
+//!   tiers and `leakprofd racecheck`.
 //! * [`race_tier`] — content-addressed happens-before race suspects:
 //!   the source tree is compiled in race mode and interpreted under
 //!   vector clocks only when its fingerprint changes; cached suspects
@@ -89,6 +92,7 @@ pub mod race_tier;
 pub mod scrape;
 pub mod shard;
 pub mod snapshot;
+pub mod source_tree;
 pub mod static_tier;
 pub mod stats;
 

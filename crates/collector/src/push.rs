@@ -25,6 +25,7 @@ use gosim::rng::SplitMix64;
 use gosim::GoroutineProfile;
 use obs::{stage, TraceContext, Tracer};
 use serde::{Deserialize, Serialize};
+use shardmap::fnv1a;
 
 use crate::http::{http_post_with, HttpConnection, HttpError, ResponseMeta};
 
@@ -403,16 +404,6 @@ impl WatermarkTrigger {
         }
         fire
     }
-}
-
-/// FNV-1a, matching the ingest tier's routing hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

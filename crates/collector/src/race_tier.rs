@@ -8,10 +8,12 @@
 //! of the whole source tree.
 //!
 //! * every `.go` file under the source directory contributes to one
-//!   FNV-64 tree fingerprint (path + contents);
+//!   FNV-64 tree fingerprint (path + contents, by
+//!   [`crate::source_tree`]);
 //! * on a fingerprint **miss** the tree is compiled with race
-//!   instrumentation, every discovered zero-arg entry runs under a
-//!   deterministic seed, and the resulting suspects (in the exact
+//!   instrumentation, every discovered zero-arg entry runs under the
+//!   detector's default seed and tick budget, and the resulting
+//!   suspects (in the exact
 //!   [`SiteStats`] shape leak suspects use) are cached in a versioned
 //!   `races.json`;
 //! * on a **hit** the cached suspects are returned — no compile, no
@@ -30,6 +32,8 @@ use leakprof::analyze::SiteStats;
 use racecheck::{check_entries, discover_entries, RunConfig};
 use serde::{Deserialize, Serialize};
 
+use crate::source_tree::{into_sources, read_go_tree, tree_fingerprint};
+
 /// On-disk format version of `races.json`; bumped whenever the
 /// detector's semantics or the entry layout change.
 pub const RACE_CACHE_VERSION: u32 = 1;
@@ -42,8 +46,6 @@ pub struct RaceTierConfig {
     /// Where the suspect cache persists (defaults to
     /// `<state_dir>/races.json` when wired into the daemon).
     pub cache_path: PathBuf,
-    /// Detector run knobs (seed, tick budget).
-    pub run: RunConfig,
 }
 
 impl RaceTierConfig {
@@ -52,7 +54,6 @@ impl RaceTierConfig {
         RaceTierConfig {
             source_dir,
             cache_path: state_dir.join("races.json"),
-            run: RunConfig::default(),
         }
     }
 }
@@ -68,8 +69,9 @@ pub struct RaceTierStats {
     pub cache_misses: u64,
     /// Entry points interpreted across all misses.
     pub entries_run: u64,
-    /// Trees that failed to compile in race mode (cached as empty so a
-    /// broken tree is not recompiled every cycle).
+    /// Trees that failed to compile in race mode, or held a file that
+    /// is not valid UTF-8 (cached as empty so a broken tree is not
+    /// recompiled every cycle).
     pub compile_errors: u64,
     /// Race suspects in the current verdict.
     pub suspects: u64,
@@ -91,7 +93,7 @@ struct CacheFile {
 #[derive(Debug)]
 pub struct RaceTier {
     config: RaceTierConfig,
-    cached: Option<(u64, bool, Vec<SiteStats>)>,
+    cached: Option<CacheFile>,
     stats: RaceTierStats,
 }
 
@@ -104,9 +106,7 @@ impl RaceTier {
     /// Returns an IO error if the cache file exists but cannot be read.
     pub fn open(config: RaceTierConfig) -> io::Result<RaceTier> {
         let cached = match durable::read_json::<CacheFile>(&config.cache_path) {
-            Ok(Some(c)) if c.version == RACE_CACHE_VERSION => {
-                Some((c.fingerprint, c.compiled, c.suspects))
-            }
+            Ok(Some(c)) if c.version == RACE_CACHE_VERSION => Some(c),
             Ok(_) => None,
             Err(e) if e.kind() == io::ErrorKind::InvalidData => None,
             Err(e) => return Err(e),
@@ -124,37 +124,44 @@ impl RaceTier {
     /// # Errors
     ///
     /// Returns an IO error if the source directory cannot be walked or
-    /// the cache cannot be written. Compile errors do not propagate:
-    /// they pin an empty verdict until the tree changes.
+    /// the cache cannot be written. Compile errors (a non-UTF-8 file
+    /// among them) do not propagate: they pin an empty verdict until
+    /// the tree changes.
     pub fn sync(&mut self) -> io::Result<Vec<SiteStats>> {
         let start = Instant::now();
-        let sources = read_tree(&self.config.source_dir)?;
-        let fp = tree_fingerprint(&sources);
+        let files = read_go_tree(&self.config.source_dir)?;
+        let fp = tree_fingerprint(&files);
 
-        if let Some((cached_fp, _, suspects)) = &self.cached {
-            if *cached_fp == fp {
-                self.stats.cache_hits += 1;
-                self.stats.syncs += 1;
-                self.stats.suspects = suspects.len() as u64;
-                self.stats.last_sync_us = start.elapsed().as_micros() as u64;
-                return Ok(suspects.clone());
-            }
+        if let Some(cache) = self.cached.as_ref().filter(|c| c.fingerprint == fp) {
+            self.stats.cache_hits += 1;
+            self.stats.syncs += 1;
+            self.stats.suspects = cache.suspects.len() as u64;
+            self.stats.last_sync_us = start.elapsed().as_micros() as u64;
+            return Ok(cache.suspects.clone());
         }
 
         self.stats.cache_misses += 1;
-        let (compiled, suspects) = match discover_entries(&sources).and_then(|entries| {
-            check_entries(&sources, &entries, &self.config.run).map(|r| (entries, r))
-        }) {
-            Ok((entries, report)) => {
+        let checked = into_sources(files).ok().and_then(|sources| {
+            let entries = discover_entries(&sources).ok()?;
+            let report = check_entries(&sources, &entries, &RunConfig::default()).ok()?;
+            Some((entries, report))
+        });
+        let (compiled, suspects) = match checked {
+            Some((entries, report)) => {
                 self.stats.entries_run += entries.len() as u64;
                 (true, report.suspects)
             }
-            Err(_) => {
+            None => {
                 self.stats.compile_errors += 1;
                 (false, Vec::new())
             }
         };
-        self.cached = Some((fp, compiled, suspects.clone()));
+        self.cached = Some(CacheFile {
+            version: RACE_CACHE_VERSION,
+            fingerprint: fp,
+            compiled,
+            suspects: suspects.clone(),
+        });
         self.persist()?;
         self.stats.syncs += 1;
         self.stats.suspects = suspects.len() as u64;
@@ -174,75 +181,15 @@ impl RaceTier {
 
     /// Writes the cache atomically.
     fn persist(&self) -> io::Result<()> {
-        let Some((fingerprint, compiled, suspects)) = &self.cached else {
+        let Some(cache) = &self.cached else {
             return Ok(());
         };
         if let Some(parent) = self.config.cache_path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        let cache = CacheFile {
-            version: RACE_CACHE_VERSION,
-            fingerprint: *fingerprint,
-            compiled: *compiled,
-            suspects: suspects.clone(),
-        };
-        let text = serde_json::to_string_pretty(&cache).expect("cache serializes");
+        let text = serde_json::to_string_pretty(cache).expect("cache serializes");
         durable::write_atomic(&self.config.cache_path, text.as_bytes())
     }
-}
-
-/// Reads every `.go` file under `dir` as `(text, rel_path)` pairs in
-/// deterministic (sorted) order.
-fn read_tree(dir: &Path) -> io::Result<Vec<(String, String)>> {
-    let mut files = Vec::new();
-    walk_go_files(dir, &mut files)?;
-    files.sort();
-    let mut out = Vec::with_capacity(files.len());
-    for path in files {
-        let text = std::fs::read_to_string(&path)?;
-        out.push((text, rel_key(dir, &path)));
-    }
-    Ok(out)
-}
-
-/// One FNV-64 over every `(path, contents)` pair: any edit, rename,
-/// addition, or deletion changes it.
-fn tree_fingerprint(sources: &[(String, String)]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for (text, path) in sources {
-        eat(path.as_bytes());
-        eat(&[0]);
-        eat(text.as_bytes());
-        eat(&[0xff]);
-    }
-    h
-}
-
-fn walk_go_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        if entry.file_type()?.is_dir() {
-            walk_go_files(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "go") {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
-fn rel_key(root: &Path, path: &Path) -> String {
-    let rel = path.strip_prefix(root).unwrap_or(path);
-    rel.components()
-        .map(|c| c.as_os_str().to_string_lossy())
-        .collect::<Vec<_>>()
-        .join("/")
 }
 
 #[cfg(test)]
@@ -326,6 +273,25 @@ mod tests {
             "a broken tree is not recompiled until it changes"
         );
         assert_eq!(tier.stats().cache_hits, 1);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn non_utf8_file_is_a_pinned_compile_error_not_a_sync_failure() {
+        let root = temp_root("utf8");
+        let src = root.join("src");
+        std::fs::create_dir_all(&src).unwrap();
+        std::fs::write(src.join("a.go"), RACY).unwrap();
+        std::fs::write(src.join("bin.go"), [0xff, 0xfe, 0x00, 0x41]).unwrap();
+        let mut tier = RaceTier::open(RaceTierConfig::in_state_dir(src.clone(), &root)).unwrap();
+        let suspects = tier
+            .sync()
+            .expect("a non-UTF-8 file must not fail the sync");
+        assert!(suspects.is_empty());
+        assert_eq!(tier.stats().compile_errors, 1);
+        tier.sync().unwrap();
+        assert_eq!(tier.stats().cache_hits, 1, "the broken tree is pinned");
+        assert_eq!(tier.stats().compile_errors, 1);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -7,7 +7,7 @@
 //! zero steady-state cost:
 //!
 //! * each `.go` file under the source directory is fingerprinted
-//!   (FNV-64 over its bytes);
+//!   (FNV-64 over its bytes, by [`crate::source_tree`]);
 //! * on a fingerprint **miss** the file is parsed once and its transient
 //!   verdicts ([`leakprof::VerdictSet::compute_file`]) are stored in a
 //!   versioned, deterministic `verdicts.json` next to the daemon's other
@@ -15,12 +15,14 @@
 //! * on a **hit** the cached verdicts are reused — no parsing, no AST.
 //!
 //! Because the criterion-2 analysis is file-local, per-file
-//! recomputation is exact: a warm cache answers every filter query the
-//! AST walk would, byte-for-byte (pinned by tests in
-//! `leakprof::filter`). Misses are analyzed in parallel across a small
-//! worker pool. The cache survives daemon restarts via the same state
-//! directory machinery as snapshots and the report ledger; a corrupt or
-//! version-skewed cache file is discarded and rebuilt, never trusted.
+//! recomputation is exact: a warm cache answers every filter query
+//! in-memory indexing ([`leakprof::LeakProf::index_source`]) would,
+//! byte-for-byte. Misses are analyzed in parallel across a small worker
+//! pool. A file that is not valid UTF-8 counts as a parse error, like
+//! any other file that does not parse. The cache survives daemon
+//! restarts via the same state directory machinery as snapshots and the
+//! report ledger; a corrupt or version-skewed cache file is discarded
+//! and rebuilt, never trusted.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -32,10 +34,15 @@ use std::time::Instant;
 use leakprof::{ChanOpKind, VerdictSet};
 use serde::{Deserialize, Serialize};
 
+use crate::source_tree::{read_go_tree, GoFile};
+
 /// On-disk format version of `verdicts.json`; bumped whenever the
 /// verdict semantics or the entry layout change so stale caches are
 /// rebuilt instead of misread.
 pub const VERDICT_CACHE_VERSION: u32 = 1;
+
+/// Worker threads analyzing cache misses.
+const ANALYZE_THREADS: usize = 4;
 
 /// Static-tier configuration.
 #[derive(Debug, Clone)]
@@ -46,8 +53,6 @@ pub struct StaticTierConfig {
     /// Where the verdict cache persists (defaults to
     /// `<state_dir>/verdicts.json` when wired into the daemon).
     pub cache_path: PathBuf,
-    /// Worker threads for analyzing cache misses (min 1).
-    pub threads: usize,
 }
 
 impl StaticTierConfig {
@@ -56,7 +61,6 @@ impl StaticTierConfig {
         StaticTierConfig {
             source_dir,
             cache_path: state_dir.join("verdicts.json"),
-            threads: 4,
         }
     }
 }
@@ -73,8 +77,9 @@ pub struct StaticTierStats {
     pub cache_misses: u64,
     /// Files actually parsed and analyzed.
     pub files_parsed: u64,
-    /// Files that failed to parse (left uncovered; the filter falls
-    /// back to its conservative keep-the-suspect default for them).
+    /// Files that are not valid UTF-8 or failed to parse (left
+    /// uncovered; the filter falls back to its conservative
+    /// keep-the-suspect default for them).
     pub parse_errors: u64,
     /// Files covered by the current verdict set.
     pub covered_files: u64,
@@ -167,52 +172,29 @@ impl StaticTier {
         let hits_before = self.stats.cache_hits;
         let misses_before = self.stats.cache_misses;
         let scan_start = Instant::now();
-        let mut sources: Vec<(String, String, u64)> = Vec::new();
-        let mut files = Vec::new();
-        walk_go_files(&self.config.source_dir, &mut files)?;
-        for path in files {
-            let text = std::fs::read_to_string(&path)?;
-            let rel = rel_key(&self.config.source_dir, &path);
-            let fp = fnv64(text.as_bytes());
-            sources.push((rel, text, fp));
-        }
+        let sources = read_go_tree(&self.config.source_dir)?;
         self.stats.last_scan_us = scan_start.elapsed().as_micros() as u64;
 
         let analyze_start = Instant::now();
-        let mut misses: Vec<&(String, String, u64)> = Vec::new();
-        for entry in &sources {
-            match self.entries.get(&entry.0) {
-                Some(cached) if cached.fp == entry.2 => self.stats.cache_hits += 1,
+        let mut misses: Vec<&GoFile> = Vec::new();
+        for file in &sources {
+            match self.entries.get(&file.rel) {
+                Some(cached) if cached.fp == file.fp => self.stats.cache_hits += 1,
                 _ => {
                     self.stats.cache_misses += 1;
-                    misses.push(entry);
+                    misses.push(file);
                 }
             }
         }
-        let analyzed = analyze_parallel(&misses, self.config.threads.max(1));
+        let analyzed = analyze_parallel(&misses);
         self.stats.files_parsed += analyzed.len() as u64;
-        let mut dirty = false;
-        for (rel, fp, verdicts) in analyzed {
-            let entry = match verdicts {
-                Some(transient) => CacheEntry {
-                    fp,
-                    parsed: true,
-                    transient,
-                },
-                None => {
-                    self.stats.parse_errors += 1;
-                    CacheEntry {
-                        fp,
-                        parsed: false,
-                        transient: Vec::new(),
-                    }
-                }
-            };
+        let mut dirty = !analyzed.is_empty();
+        for (rel, entry) in analyzed {
+            self.stats.parse_errors += u64::from(!entry.parsed);
             self.entries.insert(rel, entry);
-            dirty = true;
         }
         let live: std::collections::BTreeSet<&str> =
-            sources.iter().map(|(rel, _, _)| rel.as_str()).collect();
+            sources.iter().map(|f| f.rel.as_str()).collect();
         let before = self.entries.len();
         self.entries.retain(|rel, _| live.contains(rel.as_str()));
         dirty |= self.entries.len() != before;
@@ -260,71 +242,40 @@ impl StaticTier {
     }
 }
 
-/// One analyzed miss: `(rel_path, fingerprint, verdicts)`, where the
-/// verdicts are `None` when the file failed to parse.
-type AnalyzedFile = (String, u64, Option<Vec<(u32, ChanOpKind)>>);
-
-/// Parses and analyzes missed files across a worker pool.
-fn analyze_parallel(misses: &[&(String, String, u64)], threads: usize) -> Vec<AnalyzedFile> {
+/// Parses and analyzes missed files across a worker pool, yielding one
+/// `(rel_path, entry)` per miss; a file that is not valid UTF-8 or
+/// fails to parse yields an unparsed entry.
+fn analyze_parallel(misses: &[&GoFile]) -> Vec<(String, CacheEntry)> {
     if misses.is_empty() {
         return Vec::new();
     }
     let next = AtomicUsize::new(0);
     let results = Mutex::new(Vec::with_capacity(misses.len()));
-    let workers = threads.min(misses.len());
+    let workers = ANALYZE_THREADS.min(misses.len());
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((rel, text, fp)) = misses.get(i) else {
+                let Some(miss) = misses.get(i) else {
                     break;
                 };
-                let verdicts = minigo::parse_file(text, rel)
+                let transient = std::str::from_utf8(&miss.bytes)
                     .ok()
+                    .and_then(|text| minigo::parse_file(text, &miss.rel).ok())
                     .map(|file| VerdictSet::compute_file(&file));
+                let entry = CacheEntry {
+                    fp: miss.fp,
+                    parsed: transient.is_some(),
+                    transient: transient.unwrap_or_default(),
+                };
                 results
                     .lock()
                     .expect("worker poisoned")
-                    .push((rel.clone(), *fp, verdicts));
+                    .push((miss.rel.clone(), entry));
             });
         }
     });
     results.into_inner().expect("worker poisoned")
-}
-
-/// Collects every `.go` file under `dir`, depth-first.
-fn walk_go_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        if entry.file_type()?.is_dir() {
-            walk_go_files(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "go") {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
-/// The cache key for `path`: forward-slash relative to `root`, matching
-/// the `pkg/file.go` paths goroutine profiles carry.
-fn rel_key(root: &Path, path: &Path) -> String {
-    let rel = path.strip_prefix(root).unwrap_or(path);
-    rel.components()
-        .map(|c| c.as_os_str().to_string_lossy())
-        .collect::<Vec<_>>()
-        .join("/")
-}
-
-/// FNV-1a 64-bit over raw bytes: stable across runs and platforms,
-/// which is all a change-detection fingerprint needs.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -421,6 +372,34 @@ mod tests {
             tier.stats().files_parsed,
             1,
             "a broken file is not re-parsed until it changes"
+        );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn non_utf8_file_is_a_pinned_parse_error_not_a_sync_failure() {
+        let root = temp_root("utf8");
+        let src = root.join("src");
+        std::fs::create_dir_all(&src).unwrap();
+        std::fs::write(src.join("a.go"), LEAKY).unwrap();
+        let mut tier =
+            StaticTier::open(StaticTierConfig::in_state_dir(src.clone(), &root)).unwrap();
+        tier.sync().unwrap();
+        assert_eq!(tier.stats().files_parsed, 1);
+
+        std::fs::write(src.join("bin.go"), [0xff, 0xfe, 0x00, 0x41]).unwrap();
+        std::fs::write(src.join("a.go"), LEAKY.replace("pay", "billing")).unwrap();
+        let vs = tier
+            .sync()
+            .expect("a non-UTF-8 file must not fail the sync");
+        assert_eq!(tier.stats().files_parsed, 3, "the edit is analysed");
+        assert_eq!(tier.stats().parse_errors, 1);
+        assert!(vs.covers("a.go") && !vs.covers("bin.go"));
+        tier.sync().unwrap();
+        assert_eq!(
+            tier.stats().files_parsed,
+            3,
+            "the undecodable file is pinned, not re-read as new"
         );
         std::fs::remove_dir_all(&root).unwrap();
     }

@@ -94,9 +94,10 @@ fn loopback_fleet_with_fault_streams_same_topk_as_offline() {
 }
 
 /// Same differential check with the criterion-2 filter ON: the daemon's
-/// filter runs off the static tier's verdict cache (no sources ever
-/// indexed in its LeakProf), the offline analyzer off the in-memory AST
-/// index — and the serialized reports must still match byte-for-byte.
+/// filter runs off the static tier's on-disk verdict cache (no sources
+/// ever indexed in its LeakProf), the offline analyzer off verdicts it
+/// computed in memory via `index_source` — and the serialized reports
+/// must still match byte-for-byte.
 #[test]
 fn static_tier_filter_matches_offline_ast_filter_byte_for_byte() {
     let demo = DemoFleet::build(12, 2, 5);

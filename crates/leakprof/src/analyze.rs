@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use gosim::{GoroutineProfile, GoroutineRecord};
 use serde::{Deserialize, Serialize};
 
-use crate::filter::{is_transient, SourceIndex};
+use crate::filter::{is_transient, VerdictSet};
 use crate::signature::{blocked_op, BlockedOp};
 
 /// Analysis configuration.
@@ -126,19 +126,19 @@ pub fn analyze_profile(profile: &GoroutineProfile) -> ProfileSites {
 /// Aggregates many profiles into ranked site statistics.
 ///
 /// Implements the paper's pipeline: per-profile grouping, criterion-1
-/// thresholding, optional criterion-2 AST filtering, then fleet-wide RMS
-/// ranking. `index` supplies source ASTs for the filter; pass an empty
-/// index to skip resolution (all sites kept).
+/// thresholding, optional criterion-2 filtering, then fleet-wide RMS
+/// ranking. `verdicts` supplies the filter's per-file transient sites;
+/// ops in uncovered files (all of them, for an empty set) are kept.
 pub fn aggregate(
     profiles: &[GoroutineProfile],
     config: &Config,
-    index: &SourceIndex,
+    verdicts: &VerdictSet,
 ) -> Vec<SiteStats> {
     let mut acc = FleetAccumulator::new();
     for p in profiles {
         acc.ingest(p);
     }
-    acc.ranked(config, index)
+    acc.ranked(config, verdicts)
 }
 
 /// Aggregates profiles using worker threads, mirroring the paper's
@@ -148,11 +148,11 @@ pub fn aggregate(
 pub fn aggregate_parallel(
     profiles: &[GoroutineProfile],
     config: &Config,
-    index: &SourceIndex,
+    verdicts: &VerdictSet,
     threads: usize,
 ) -> Vec<SiteStats> {
     if threads <= 1 || profiles.len() < 2 {
-        return aggregate(profiles, config, index);
+        return aggregate(profiles, config, verdicts);
     }
     // Parallel phase: per-profile site maps.
     let chunk = profiles.len().div_ceil(threads);
@@ -180,7 +180,7 @@ pub fn aggregate_parallel(
         debug_assert_eq!(&p.instance, instance);
         acc.merge_profile_sites(instance, sites, p.len() as u64);
     }
-    acc.ranked(config, index)
+    acc.ranked(config, verdicts)
 }
 
 /// Builds a [`FleetAccumulator`] over `profiles` using up to `threads`
@@ -469,9 +469,9 @@ impl FleetAccumulator {
     }
 
     /// Ranks the accumulated sites: criterion-1 thresholding, optional
-    /// criterion-2 AST filtering, then fleet-wide RMS ordering. Does not
+    /// criterion-2 filtering, then fleet-wide RMS ordering. Does not
     /// consume the accumulator, so a daemon can re-rank every cycle.
-    pub fn ranked(&self, config: &Config, index: &SourceIndex) -> Vec<SiteStats> {
+    pub fn ranked(&self, config: &Config, verdicts: &VerdictSet) -> Vec<SiteStats> {
         let mut out = Vec::new();
         // Distinct instance names, sorted once (on the first suspect
         // site) and shared by every suspect site. A name ingested k
@@ -488,7 +488,7 @@ impl FleetAccumulator {
             if over == 0 {
                 continue;
             }
-            if config.ast_filter && is_transient(index, op) {
+            if config.ast_filter && is_transient(verdicts, op) {
                 continue;
             }
             let names = names.get_or_insert_with(|| {
@@ -580,12 +580,12 @@ mod tests {
             ast_filter: false,
             top_n: 10,
         };
-        assert!(aggregate(std::slice::from_ref(&p), &cfg, &SourceIndex::new()).is_empty());
+        assert!(aggregate(std::slice::from_ref(&p), &cfg, &VerdictSet::new()).is_empty());
         let cfg2 = Config {
             threshold: 5,
             ..cfg
         };
-        assert_eq!(aggregate(&[p], &cfg2, &SourceIndex::new()).len(), 1);
+        assert_eq!(aggregate(&[p], &cfg2, &VerdictSet::new()).len(), 1);
     }
 
     #[test]
@@ -612,7 +612,7 @@ mod tests {
             ast_filter: false,
             top_n: 10,
         };
-        let stats = aggregate(&profiles, &cfg, &SourceIndex::new());
+        let stats = aggregate(&profiles, &cfg, &VerdictSet::new());
         assert_eq!(stats.len(), 2);
         assert_eq!(
             &*stats[0].op.loc.file, "spike.go",
@@ -639,7 +639,7 @@ mod tests {
             ast_filter: false,
             top_n: 10,
         };
-        let stats = aggregate(&[p1, p2], &cfg, &SourceIndex::new());
+        let stats = aggregate(&[p1, p2], &cfg, &VerdictSet::new());
         assert_eq!(stats[0].per_instance.len(), 2);
         assert_eq!(stats[0].total, 20);
         assert_eq!(stats[0].max_instance, 20);
@@ -668,8 +668,8 @@ mod tests {
             ast_filter: false,
             top_n: 10,
         };
-        let seq = aggregate(&profiles, &cfg, &SourceIndex::new());
-        let par = aggregate_parallel(&profiles, &cfg, &SourceIndex::new(), 4);
+        let seq = aggregate(&profiles, &cfg, &VerdictSet::new());
+        let par = aggregate_parallel(&profiles, &cfg, &VerdictSet::new(), 4);
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.op, b.op);
@@ -696,8 +696,8 @@ mod tests {
             ast_filter: false,
             top_n: 10,
         };
-        let a = acc.ranked(&cfg, &SourceIndex::new());
-        let b = restored.ranked(&cfg, &SourceIndex::new());
+        let a = acc.ranked(&cfg, &VerdictSet::new());
+        let b = restored.ranked(&cfg, &VerdictSet::new());
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap(),
@@ -751,8 +751,8 @@ mod tests {
             top_n: 10,
         };
         assert_eq!(
-            serde_json::to_string(&whole.ranked(&cfg, &SourceIndex::new())).unwrap(),
-            serde_json::to_string(&a.ranked(&cfg, &SourceIndex::new())).unwrap(),
+            serde_json::to_string(&whole.ranked(&cfg, &VerdictSet::new())).unwrap(),
+            serde_json::to_string(&a.ranked(&cfg, &VerdictSet::new())).unwrap(),
             "merged shards diverged from a single accumulator"
         );
         assert_eq!(a.profiles_ingested(), whole.profiles_ingested());

@@ -7,18 +7,15 @@
 //! small static analysis over the source AST to drop such sites before
 //! alerting.
 //!
-//! The analysis has two equivalent evaluation paths. The direct path
-//! resolves each blocked location against a parsed AST
-//! ([`SourceIndex::stmt_at`]) at ranking time. The precomputed path
-//! ([`VerdictSet`]) extracts, once per file, the full set of transient
-//! sites — so an online consumer (the collection daemon) can cache
-//! verdicts keyed by source-content fingerprint and answer filter
-//! queries without re-parsing anything. By construction the two paths
-//! return identical answers for identical sources.
+//! The analysis runs once per file, when the file is indexed
+//! ([`VerdictSet::compute_file`]): it extracts the full set of transient
+//! sites, and the AST is dropped. Filtering a blocked location is then a
+//! set lookup ([`is_transient`]). Because the verdicts are plain data,
+//! the collection daemon caches them keyed by source-content
+//! fingerprint and answers filter queries without re-parsing anything.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
-use gosim::Loc;
 use minigo::ast::{walk_stmts, File, RecvSrc, SelCase, Stmt};
 use serde::{Deserialize, Serialize};
 
@@ -26,12 +23,10 @@ use crate::signature::{BlockedOp, ChanOpKind};
 
 /// Precomputed criterion-2 verdicts: for every *covered* file, the set
 /// of `(line, op kind)` sites whose blocking operation is trivially
-/// transient. Covered files answer filter queries without an AST;
-/// uncovered files fall back to [`SourceIndex`] resolution.
+/// transient.
 #[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VerdictSet {
-    covered: BTreeSet<String>,
-    transient: BTreeSet<(String, u32, ChanOpKind)>,
+    files: BTreeMap<String, BTreeSet<(u32, ChanOpKind)>>,
 }
 
 impl VerdictSet {
@@ -40,11 +35,19 @@ impl VerdictSet {
         Self::default()
     }
 
-    /// Extracts the transient sites of one parsed file, mirroring
-    /// [`is_transient`]'s AST path exactly: for the first statement on
-    /// each line (the one [`SourceIndex::stmt_at`] resolves), a
-    /// transient verdict is recorded under the op kind that statement
-    /// can block as.
+    /// Extracts the transient sites of one parsed file. Only the first
+    /// statement on each line (in walk order) is judged; a transient
+    /// verdict is recorded under the op kind that statement can block
+    /// as:
+    ///
+    /// * a `select` all of whose arms receive from timer/`ctx.Done`
+    ///   channels, or any `select` with a `default` arm (non-blocking,
+    ///   so it can never leak), as [`ChanOpKind::Select`];
+    /// * a bare receive from `time.After`/`time.Tick`/`ctx.Done()`, as
+    ///   [`ChanOpKind::Recv`].
+    ///
+    /// `for v := range time.Tick(d)` is not expressible in the subset;
+    /// every other shape is kept.
     pub fn compute_file(file: &File) -> Vec<(u32, ChanOpKind)> {
         let mut seen_lines = BTreeSet::new();
         let mut out = Vec::new();
@@ -77,12 +80,10 @@ impl VerdictSet {
 
     /// Marks `path` as covered with the given transient sites (typically
     /// the output of [`VerdictSet::compute_file`], possibly replayed
-    /// from a cache).
+    /// from a cache), replacing any earlier verdicts for it.
     pub fn insert_file(&mut self, path: &str, transient: &[(u32, ChanOpKind)]) {
-        self.covered.insert(path.to_string());
-        for (line, kind) in transient {
-            self.transient.insert((path.to_string(), *line, *kind));
-        }
+        self.files
+            .insert(path.to_string(), transient.iter().copied().collect());
     }
 
     /// Convenience: compute and insert in one step.
@@ -93,102 +94,17 @@ impl VerdictSet {
 
     /// True when verdicts for `path` are available.
     pub fn covers(&self, path: &str) -> bool {
-        self.covered.contains(path)
-    }
-
-    /// The verdict for a blocked op: `Some(true)` = transient (filter),
-    /// `Some(false)` = keep, `None` = file not covered (caller must fall
-    /// back to AST resolution).
-    pub fn lookup(&self, op: &BlockedOp) -> Option<bool> {
-        if !self.covers(&op.loc.file) {
-            return None;
-        }
-        Some(
-            self.transient
-                .contains(&(op.loc.file.to_string(), op.loc.line, op.kind)),
-        )
+        self.files.contains_key(path)
     }
 
     /// Number of covered files.
     pub fn files(&self) -> usize {
-        self.covered.len()
+        self.files.len()
     }
 
     /// True when no files are covered.
     pub fn is_empty(&self) -> bool {
-        self.covered.is_empty()
-    }
-}
-
-/// An index of parsed source files, keyed by path, used to resolve
-/// blocking locations back to syntax. Optionally carries a
-/// [`VerdictSet`] answering filter queries for covered files without
-/// touching (or even having) the ASTs.
-#[derive(Debug, Default)]
-pub struct SourceIndex {
-    files: HashMap<String, File>,
-    verdicts: Option<VerdictSet>,
-}
-
-impl SourceIndex {
-    /// Creates an empty index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a parsed file.
-    pub fn insert(&mut self, file: File) {
-        self.files.insert(file.path.clone(), file);
-    }
-
-    /// Parses and adds a source file.
-    ///
-    /// # Errors
-    ///
-    /// Returns parser diagnostics on malformed source.
-    pub fn insert_source(&mut self, src: &str, path: &str) -> Result<(), Vec<minigo::Diag>> {
-        self.insert(minigo::parse_file(src, path)?);
-        Ok(())
-    }
-
-    /// Looks up a file by path.
-    pub fn file(&self, path: &str) -> Option<&File> {
-        self.files.get(path)
-    }
-
-    /// Number of indexed files.
-    pub fn len(&self) -> usize {
-        self.files.len()
-    }
-
-    /// True when no files are indexed.
-    pub fn is_empty(&self) -> bool {
         self.files.is_empty()
-    }
-
-    /// Installs (replaces) the precomputed verdicts consulted before any
-    /// AST resolution.
-    pub fn install_verdicts(&mut self, verdicts: VerdictSet) {
-        self.verdicts = Some(verdicts);
-    }
-
-    /// The installed verdict set, if any.
-    pub fn verdicts(&self) -> Option<&VerdictSet> {
-        self.verdicts.as_ref()
-    }
-
-    /// Finds the statement at a location, if any.
-    pub fn stmt_at(&self, loc: &Loc) -> Option<&Stmt> {
-        let file = self.files.get(&*loc.file)?;
-        let mut found = None;
-        for f in &file.funcs {
-            walk_stmts(&f.body, &mut |s| {
-                if s.line() == loc.line && found.is_none() {
-                    found = Some(s);
-                }
-            });
-        }
-        found
     }
 }
 
@@ -200,48 +116,24 @@ fn src_is_transient(src: &RecvSrc) -> bool {
 }
 
 /// Returns true when the blocking operation is trivially transient and
-/// should be filtered from reports:
-///
-/// * a `select` all of whose arms receive from timer/`ctx.Done` channels
-///   (a `default` arm also makes the statement non-blocking);
-/// * a bare receive from `time.After`/`time.Tick`.
-///
-/// Unknown locations (no AST available) are conservatively kept.
-///
-/// When the index carries a [`VerdictSet`] covering the op's file, the
-/// precomputed verdict is returned directly — no AST walk happens.
-pub fn is_transient(index: &SourceIndex, op: &BlockedOp) -> bool {
-    if let Some(t) = index.verdicts.as_ref().and_then(|v| v.lookup(op)) {
-        return t;
-    }
-    let Some(stmt) = index.stmt_at(&op.loc) else {
-        return false;
-    };
-    match (op.kind, stmt) {
-        (ChanOpKind::Select, Stmt::Select { cases, default, .. }) => {
-            if default.is_some() {
-                return true; // non-blocking select can never leak
-            }
-            !cases.is_empty()
-                && cases.iter().all(|c| match c {
-                    SelCase::Recv { src, .. } => src_is_transient(src),
-                    SelCase::Send { .. } => false,
-                })
-        }
-        (ChanOpKind::Recv, Stmt::Recv { src, .. }) => src_is_transient(src),
-        // `for v := range time.Tick(d)` is not expressible in the subset;
-        // every other shape is kept.
-        _ => false,
-    }
+/// should be filtered from reports (see [`VerdictSet::compute_file`]
+/// for the shapes). Ops in files the set does not cover are
+/// conservatively kept.
+pub fn is_transient(verdicts: &VerdictSet, op: &BlockedOp) -> bool {
+    verdicts
+        .files
+        .get(&*op.loc.file)
+        .is_some_and(|sites| sites.contains(&(op.loc.line, op.kind)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gosim::Loc;
 
-    fn index_of(src: &str, path: &str) -> SourceIndex {
-        let mut ix = SourceIndex::new();
-        ix.insert_source(src, path).expect("test source parses");
+    fn index_of(src: &str, path: &str) -> VerdictSet {
+        let mut ix = VerdictSet::new();
+        ix.add_file(&minigo::parse_file(src, path).expect("test source parses"));
         ix
     }
 
@@ -333,7 +225,7 @@ func Drain(ch chan int) {
 
     #[test]
     fn unknown_location_is_kept() {
-        let ix = SourceIndex::new();
+        let ix = VerdictSet::new();
         let op = BlockedOp {
             kind: ChanOpKind::Recv,
             loc: Loc::new("nowhere.go", 1),
@@ -349,31 +241,35 @@ func Drain(ch chan int) {
         "package p\n\nfunc Drain(ch chan int) {\n\t<-ch\n\tselect {\n\tcase <-ch:\n\t\tsim.Work(1)\n\tdefault:\n\t\tsim.Work(2)\n\t}\n}\n",
     ];
 
+    /// The `(line, kind)` sites the filter drops in each of
+    /// `EQUIV_SOURCES`, pinned from the AST-resolving evaluator this
+    /// set lookup replaced.
+    const EQUIV_DROPPED: [&[(u32, ChanOpKind)]; 4] = [
+        &[(5, ChanOpKind::Select)],
+        &[],
+        &[(5, ChanOpKind::Recv)],
+        &[(5, ChanOpKind::Select)],
+    ];
+
     #[test]
-    fn verdict_path_matches_ast_path_on_every_line_and_kind() {
+    fn filter_drops_exactly_the_pinned_sites_on_every_line_and_kind() {
         for (i, src) in EQUIV_SOURCES.iter().enumerate() {
             let path = format!("p/equiv_{i}.go");
-            let ast_ix = index_of(src, &path);
-            // Verdict-only index: no ASTs at all, just precomputed
-            // verdicts — the daemon's warm-cache configuration.
-            let mut vs = VerdictSet::new();
-            vs.add_file(&minigo::parse_file(src, &path).unwrap());
-            let mut verdict_ix = SourceIndex::new();
-            verdict_ix.install_verdicts(vs);
+            let ix = index_of(src, &path);
             let nlines = src.lines().count() as u32;
+            let mut dropped = Vec::new();
             for line in 1..=nlines {
                 for kind in [ChanOpKind::Send, ChanOpKind::Recv, ChanOpKind::Select] {
                     let op = BlockedOp {
                         kind,
                         loc: Loc::new(path.as_str(), line),
                     };
-                    assert_eq!(
-                        is_transient(&ast_ix, &op),
-                        is_transient(&verdict_ix, &op),
-                        "paths disagree at {path}:{line} {kind:?}"
-                    );
+                    if is_transient(&ix, &op) {
+                        dropped.push((line, kind));
+                    }
                 }
             }
+            assert_eq!(dropped, EQUIV_DROPPED[i], "dropped sites of {path}");
         }
     }
 

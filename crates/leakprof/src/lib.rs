@@ -66,7 +66,7 @@ pub use analyze::{
     aggregate, aggregate_parallel, analyze_profile, fold_profiles, rms, AccumulatorSnapshot,
     Config, FleetAccumulator, ProfileSites, SiteSnapshot, SiteStats, SNAPSHOT_VERSION,
 };
-pub use filter::{is_transient, SourceIndex, VerdictSet};
+pub use filter::{is_transient, VerdictSet};
 pub use history::{Issue, IssueStatus, SweepDelta, SweepStore};
 pub use report::{OwnerDb, Report, Suspect};
 pub use series::{op_fingerprint, site_fingerprint};
@@ -74,12 +74,13 @@ pub use signature::{blocked_op, BlockedOp, ChanOpKind};
 
 use gosim::GoroutineProfile;
 
-/// The LeakProf service: configuration + source index + ownership, with
-/// a one-call [`LeakProf::analyze`] entry point for a daily sweep.
+/// The LeakProf service: configuration + criterion-2 verdicts +
+/// ownership, with a one-call [`LeakProf::analyze`] entry point for a
+/// daily sweep.
 #[derive(Debug, Default)]
 pub struct LeakProf {
     config: Config,
-    index: SourceIndex,
+    verdicts: VerdictSet,
     owners: OwnerDb,
 }
 
@@ -88,32 +89,29 @@ impl LeakProf {
     pub fn new(config: Config) -> Self {
         LeakProf {
             config,
-            index: SourceIndex::new(),
+            verdicts: VerdictSet::new(),
             owners: OwnerDb::new(),
         }
     }
 
-    /// Adds source code to the AST index used by the criterion-2 filter.
+    /// Parses a source file and records its criterion-2 verdicts (see
+    /// [`VerdictSet::compute_file`]); the AST is not kept.
     ///
     /// # Errors
     ///
     /// Returns parse diagnostics for malformed source.
     pub fn index_source(&mut self, src: &str, path: &str) -> Result<(), Vec<minigo::Diag>> {
-        self.index.insert_source(src, path)
+        self.verdicts.add_file(&minigo::parse_file(src, path)?);
+        Ok(())
     }
 
-    /// Adds a pre-parsed file to the AST index.
-    pub fn index_file(&mut self, file: minigo::ast::File) {
-        self.index.insert(file);
-    }
-
-    /// Installs precomputed criterion-2 verdicts (see [`VerdictSet`]);
-    /// covered files then answer filter queries without AST resolution.
+    /// Installs (replaces) the criterion-2 verdicts, e.g. those a
+    /// persistent verdict cache assembled.
     pub fn install_verdicts(&mut self, verdicts: VerdictSet) {
-        self.index.install_verdicts(verdicts);
+        self.verdicts = verdicts;
     }
 
-    /// Turns the criterion-2 AST filter on or off after construction.
+    /// Turns the criterion-2 filter on or off after construction.
     pub fn set_ast_filter(&mut self, on: bool) {
         self.config.ast_filter = on;
     }
@@ -126,14 +124,12 @@ impl LeakProf {
     /// Analyzes a set of profiles (one per service instance) and returns
     /// the ranked, routed report.
     pub fn analyze(&self, profiles: &[GoroutineProfile]) -> Report {
-        let stats = aggregate(profiles, &self.config, &self.index);
-        self.build_report(stats, profiles)
-    }
-
-    /// Multi-threaded variant of [`LeakProf::analyze`] for large sweeps.
-    pub fn analyze_parallel(&self, profiles: &[GoroutineProfile], threads: usize) -> Report {
-        let stats = aggregate_parallel(profiles, &self.config, &self.index, threads);
-        self.build_report(stats, profiles)
+        let stats = aggregate(profiles, &self.config, &self.verdicts);
+        Report {
+            suspects: report::route(stats, &self.owners),
+            profiles_analyzed: profiles.len(),
+            goroutines_seen: profiles.iter().map(|p| p.len() as u64).sum(),
+        }
     }
 
     /// Builds the ranked, routed report from a streaming accumulator.
@@ -142,19 +138,11 @@ impl LeakProf {
     /// [`LeakProf::analyze`] returns — the collection daemon uses it to
     /// report after every scrape cycle without re-analyzing history.
     pub fn report_from_accumulator(&self, acc: &FleetAccumulator) -> Report {
-        let stats = acc.ranked(&self.config, &self.index);
+        let stats = acc.ranked(&self.config, &self.verdicts);
         Report {
             suspects: report::route(stats, &self.owners),
             profiles_analyzed: acc.profiles_ingested(),
             goroutines_seen: acc.goroutines_seen(),
-        }
-    }
-
-    fn build_report(&self, stats: Vec<SiteStats>, profiles: &[GoroutineProfile]) -> Report {
-        Report {
-            suspects: report::route(stats, &self.owners),
-            profiles_analyzed: profiles.len(),
-            goroutines_seen: profiles.iter().map(|p| p.len() as u64).sum(),
         }
     }
 }

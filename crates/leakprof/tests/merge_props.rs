@@ -81,7 +81,7 @@ fn acc_of(profiles: &[&GoroutineProfile]) -> FleetAccumulator {
 }
 
 fn ranking_json(acc: &FleetAccumulator) -> String {
-    let ranked: Vec<SiteStats> = acc.ranked(&cfg(), &leakprof::SourceIndex::new());
+    let ranked: Vec<SiteStats> = acc.ranked(&cfg(), &leakprof::VerdictSet::new());
     serde_json::to_string(&ranked).expect("ranking serializes")
 }
 

@@ -1,7 +1,7 @@
 //! Property tests for the analysis pipeline's algebra.
 
 use gosim::{Frame, Gid, GoStatus, GoroutineProfile, GoroutineRecord, Loc};
-use leakprof::{aggregate, rms, Config, SourceIndex};
+use leakprof::{aggregate, rms, Config, VerdictSet};
 use proptest::prelude::*;
 
 fn blocked(gid: u64, file: &str, line: u32) -> GoroutineRecord {
@@ -65,7 +65,7 @@ proptest! {
     ) {
         let profiles = profiles_from(&counts);
         let cfg = Config { threshold: 1, ast_filter: false, top_n: 10 };
-        let stats = aggregate(&profiles, &cfg, &SourceIndex::new());
+        let stats = aggregate(&profiles, &cfg, &VerdictSet::new());
         for s in &stats {
             let site: usize = s.op.loc.file
                 .strip_prefix("site").unwrap()
@@ -92,7 +92,7 @@ proptest! {
         let profiles = profiles_from(&counts);
         let get = |t: u64| {
             let cfg = Config { threshold: t, ast_filter: false, top_n: 10 };
-            aggregate(&profiles, &cfg, &SourceIndex::new())
+            aggregate(&profiles, &cfg, &VerdictSet::new())
                 .into_iter()
                 .map(|s| s.op)
                 .collect::<std::collections::BTreeSet<_>>()
@@ -123,8 +123,8 @@ proptest! {
         let restored = leakprof::FleetAccumulator::from_snapshot(&snap).unwrap();
 
         let cfg = Config { threshold, ast_filter: false, top_n: 10 };
-        let want = aggregate(&profiles, &cfg, &SourceIndex::new());
-        let got = restored.ranked(&cfg, &SourceIndex::new());
+        let want = aggregate(&profiles, &cfg, &VerdictSet::new());
+        let got = restored.ranked(&cfg, &VerdictSet::new());
         prop_assert_eq!(
             serde_json::to_string(&want).unwrap(),
             serde_json::to_string(&got).unwrap()
@@ -140,7 +140,7 @@ proptest! {
     ) {
         let profiles = profiles_from(&counts);
         let cfg = Config { threshold: 1, ast_filter: false, top_n: 10 };
-        let stats = aggregate(&profiles, &cfg, &SourceIndex::new());
+        let stats = aggregate(&profiles, &cfg, &VerdictSet::new());
         for w in stats.windows(2) {
             prop_assert!(w[0].rms >= w[1].rms - 1e-12);
         }

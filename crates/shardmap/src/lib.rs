@@ -83,15 +83,43 @@ impl std::fmt::Display for ShardIdentity {
     }
 }
 
-/// 64-bit FNV-1a over a byte slice — stable across platforms and runs
-/// (unlike `std`'s `DefaultHasher`, which is seeded per-process).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Incremental 64-bit FNV-1a — stable across platforms and runs
+/// (unlike `std`'s `DefaultHasher`, which is seeded per-process). The
+/// repo's one cheap stable hash: shard routing, rendezvous weights and
+/// source-content fingerprints all use it.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    #[inline]
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a {
+    /// Folds `bytes` into the hash.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything written so far.
+    #[inline]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// One-shot [`Fnv1a`] over a byte slice.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
 }
 
 /// SplitMix64 finalizer: FNV output is well-distributed in the low bits
