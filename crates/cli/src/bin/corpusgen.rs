@@ -1,9 +1,5 @@
 //! `corpusgen` — materialize a ground-truth-labelled synthetic monorepo
-//! on disk.
-//!
-//! ```text
-//! corpusgen <out-dir> [--packages N] [--seed S] [--leak-rate F] [--heavy]
-//! ```
+//! on disk. Run it without arguments for its flags.
 //!
 //! Writes `<out>/<pkg>/*.go`, `<out>/TRUTH.json` (leak labels), and
 //! `<out>/OWNERS.tsv`, then prints summary statistics.
@@ -12,26 +8,26 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use corpus::{census, Corpus, CorpusConfig, KindMix};
-use leaklab_cli::{flag, split_flags};
+use leaklab_cli::{parse, switch, value, Spec};
+
+const CORPUSGEN: Spec = Spec {
+    synopsis: "corpusgen <out-dir>",
+    about: "Write a labelled synthetic corpus (sources, TRUTH.json, OWNERS.tsv) to <out-dir>.",
+    flags: &[
+        value::<usize>("packages", "N", "packages to generate").default("200"),
+        value::<u64>("seed", "S", "generator seed").default("3168"),
+        value::<f64>("leak-rate", "F", "share of sites with an injected leak").default("0.18"),
+        switch("heavy", "concurrency-heavy kind mix"),
+    ],
+};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (pos, flags) = split_flags(args);
-    let Some(out) = pos.first() else {
-        eprintln!("usage: corpusgen <out-dir> [--packages N] [--seed S] [--leak-rate F] [--heavy]");
-        return ExitCode::from(2);
-    };
+    let args = parse(&CORPUSGEN, std::env::args().skip(1));
     let config = CorpusConfig {
-        packages: flag(&flags, "packages")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(200),
-        seed: flag(&flags, "seed")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0xC60),
-        leak_rate: flag(&flags, "leak-rate")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.18),
-        mix: if flag(&flags, "heavy").is_some() {
+        packages: args.get("packages"),
+        seed: args.get("seed"),
+        leak_rate: args.get("leak-rate"),
+        mix: if args.on("heavy") {
             KindMix::concurrent_heavy()
         } else {
             KindMix::default()
@@ -39,7 +35,7 @@ fn main() -> ExitCode {
         ..CorpusConfig::default()
     };
     let repo = Corpus::generate(config);
-    let root = PathBuf::from(out);
+    let root = PathBuf::from(&args.positional[0]);
     if let Err(e) = repo.write_to_dir(&root) {
         eprintln!("error: writing {}: {e}", root.display());
         return ExitCode::from(2);

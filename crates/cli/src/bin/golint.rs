@@ -1,30 +1,36 @@
 //! `golint` — run the static partial-deadlock analyzers over `.go` files.
-//!
-//! ```text
-//! golint <files-or-dirs...> [--tool pathcheck|absint|modelcheck|rangeclose|interproc|all]
-//!                           [--wrappers]   # recognize wrapper spawns
-//! ```
-//!
-//! Exit code: 0 when no findings, 1 when findings exist, 2 on errors.
+//! Run it without arguments for its flags.
 
 use std::process::ExitCode;
 
-use leaklab_cli::{collect_go_files, flag, read_source, split_flags};
+use leaklab_cli::{collect_go_files, parse, read_source, switch, usage_error, value, Spec};
 use staticlint::absint::{AbsInt, AbsIntConfig};
 use staticlint::modelcheck::ModelCheck;
 use staticlint::pathcheck::{PathCheck, PathCheckConfig};
 use staticlint::{Analyzer, Interproc, RangeClose};
 
+const GOLINT: Spec = Spec {
+    synopsis: "golint <files-or-dirs...>",
+    about: "Run the static partial-deadlock analyzers; exit 0 clean, 1 findings, 2 errors.",
+    flags: &[
+        value::<String>(
+            "tool",
+            "NAME",
+            "pathcheck|absint|modelcheck|rangeclose|interproc|all",
+        )
+        .default("all"),
+        switch("wrappers", "recognize spawns through wrapper functions"),
+    ],
+};
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (pos, flags) = split_flags(args);
-    let files = collect_go_files(&pos);
+    let args = parse(&GOLINT, std::env::args().skip(1));
+    let files = collect_go_files(&args.positional);
     if files.is_empty() {
-        eprintln!("usage: golint <files-or-dirs...> [--tool NAME] [--wrappers]");
-        return ExitCode::from(2);
+        usage_error(&GOLINT, "no .go files in the given paths");
     }
-    let tool = flag(&flags, "tool").unwrap_or("all");
-    let wrappers = flag(&flags, "wrappers").is_some();
+    let tool: String = args.get("tool");
+    let wrappers = args.on("wrappers");
 
     let mut analyzers: Vec<Box<dyn Analyzer>> = Vec::new();
     if tool == "all" || tool == "pathcheck" {

@@ -2,12 +2,8 @@
 //!
 //! Profiles are the JSON serialization of [`gosim::GoroutineProfile`]
 //! (one file per instance, or a JSON array per file). Optionally index
-//! mini-Go sources for the criterion-2 transient filter.
-//!
-//! ```text
-//! leakprof-cli <profile.json...> [--threshold N] [--top N]
-//!              [--src dir-or-file.go]... [--no-filter] [--store state.json]
-//! ```
+//! mini-Go sources for the criterion-2 transient filter. Run it without
+//! arguments for its flags.
 //!
 //! With `--store`, the sweep history is loaded/saved across invocations:
 //! only NEW suspects alert, ongoing ones are deduped, and vanished
@@ -20,8 +16,20 @@
 use std::process::ExitCode;
 
 use gosim::GoroutineProfile;
-use leaklab_cli::{collect_go_files, flag, read_source, split_flags};
+use leaklab_cli::{collect_go_files, parse, read_source, switch, value, Spec};
 use leakprof::{Config, LeakProf};
+
+const LEAKPROF_CLI: Spec = Spec {
+    synopsis: "leakprof-cli <profile.json...>",
+    about: "Rank goroutine-profile JSON files; exit 0 no suspects, 1 suspects, 2 errors.",
+    flags: &[
+        value::<u64>("threshold", "N", "criterion-1 blocked-goroutine count").default("10000"),
+        value::<usize>("top", "N", "suspects to report").default("10"),
+        value::<String>("src", "PATH", "sources for the criterion-2 filter").repeated(),
+        switch("no-filter", "turn the criterion-2 transient filter off"),
+        value::<String>("store", "PATH", "sweep-history JSON, loaded and saved"),
+    ],
+};
 
 fn main() -> ExitCode {
     match run() {
@@ -30,35 +38,15 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<ExitCode, ExitCode> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (pos, flags) = split_flags(args);
-    if pos.is_empty() {
-        eprintln!(
-            "usage: leakprof-cli <profile.json...> [--threshold N] [--top N] [--src PATH] [--no-filter] [--store state.json]"
-        );
-        return Err(ExitCode::from(2));
-    }
-    let threshold: u64 = flag(&flags, "threshold")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000);
-    let top_n: usize = flag(&flags, "top")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let ast_filter = flag(&flags, "no-filter").is_none();
-
+    let args = parse(&LEAKPROF_CLI, std::env::args().skip(1));
     let mut lp = LeakProf::new(Config {
-        threshold,
-        ast_filter,
-        top_n,
+        threshold: args.get("threshold"),
+        ast_filter: !args.on("no-filter"),
+        top_n: args.get("top"),
     });
 
     // Index sources for the transient filter.
-    let srcs: Vec<String> = flags
-        .iter()
-        .filter(|(n, _)| n == "src")
-        .map(|(_, v)| v.clone())
-        .collect();
-    for s in collect_go_files(&srcs) {
+    for s in collect_go_files(&args.all("src")) {
         let text = read_source(&s)?;
         if let Err(diags) = lp.index_source(&text, &s.display().to_string()) {
             for d in diags {
@@ -70,7 +58,7 @@ fn run() -> Result<ExitCode, ExitCode> {
 
     // Load profiles: each file holds one profile or an array of them.
     let mut profiles: Vec<GoroutineProfile> = Vec::new();
-    for p in &pos {
+    for p in &args.positional {
         let text = read_source(std::path::Path::new(p))?;
         if let Ok(many) = serde_json::from_str::<Vec<GoroutineProfile>>(&text) {
             profiles.extend(many);
@@ -88,8 +76,8 @@ fn run() -> Result<ExitCode, ExitCode> {
     let report = lp.analyze(&profiles);
     print!("{}", report.render());
 
-    if let Some(store_path) = flag(&flags, "store") {
-        let path = std::path::Path::new(store_path);
+    if let Some(store_path) = args.opt::<String>("store") {
+        let path = std::path::Path::new(&store_path);
         let mut store = if path.exists() {
             match leakprof::SweepStore::from_json(&read_source(path)?) {
                 Ok(s) => s,

@@ -1,39 +1,7 @@
 //! `leakprofd` — the continuous profile-collection and streaming-analysis
 //! daemon, plus self-contained demo modes.
 //!
-//! ```text
-//! leakprofd serve       [--instances N] [--days D] [--seed S] [--port P]
-//!                       [--cycles N] [--interval-ms MS] [--threshold T]
-//!                       [--top N] [--state-dir PATH] [--snapshot-every N]
-//!                       [--source-dir PATH]
-//!                       [--keepalive BOOL] [--adaptive]
-//!                       [--interval-min-ms MS] [--interval-max-ms MS]
-//!                       [--shard I/N] [--shard-map PATH]
-//!                       [--push] [--push-queue N] [--push-shards N]
-//!                       [--accept-pending N] [--http-workers N]
-//! leakprofd scrape-once [--addr HOST:PORT] [--instances N] [--days D]
-//!                       [--seed S] [--threshold T] [--top N] [--workers N]
-//!                       [--source-dir PATH]
-//! leakprofd status      --addr HOST:PORT [--addr ...]
-//! leakprofd top         --addr HOST:PORT [--addr ...] [--refresh-ms MS]
-//!                       [--frames N]
-//! leakprofd trace       --addr HOST:PORT [--out PATH]
-//! leakprofd flame       --addr HOST:PORT [--out PATH] [--txt]
-//!                       [--from N --to N] [--self]
-//! leakprofd recover     --state-dir PATH [--threshold T] [--top N]
-//!                       [--source-dir PATH]
-//! leakprofd backtest    --state-dir PATH [--out DIR] [--week-len N] [--top N]
-//! leakprofd merge       --state-dir PATH [--state-dir ...] [--out DIR]
-//!                       [--threshold T] [--top N]
-//! leakprofd fleet       --shard-addr HOST:PORT [--shard-addr ...]
-//!                       [--port P] [--interval-ms MS] [--polls N]
-//!                       [--shards N | --shard-map PATH] [--out-map PATH]
-//! leakprofd chaos       [--instances N] [--cycles N] [--seed S]
-//!                       [--restart-every N] [--state-dir PATH]
-//! leakprofd push        --addr HOST:PORT --fleet-addr HOST:PORT
-//!                       [--pushers N] [--rounds N] [--watermark N]
-//!                       [--heartbeat N] [--interval-ms MS] [--seed S]
-//! ```
+//! Run `leakprofd` without arguments for every subcommand and its flags.
 //!
 //! The criterion-2 static filter defaults to **off**. `--source-dir
 //! PATH` turns it on by enabling the daemon's static tier: sources under
@@ -119,166 +87,310 @@
 //! cycle scraped nothing at all (or chaos invariants failed), 2 on
 //! usage/IO errors.
 
+use std::io::Write as _;
+use std::net::SocketAddr;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use collector::{
     backtest_store, fold_order, fold_snapshot, merge_state_dirs, render_table, run_chaos,
     serve_daemon_endpoints_with, serve_fleet_endpoints, write_merged, write_report, AdaptiveConfig,
     ApiSnapshot, BacktestConfig, ChaosConfig, ChaosPlanConfig, Daemon, DaemonConfig, DemoFleet,
     FleetAggregator, FleetConfig, FleetHealth, MergeConfig, ProfileHub, PushClient, PushConfig,
-    PushError, ReportLedger, ScrapeConfig, ScrapeTarget, ShardSpec, SnapshotStore,
-    WatermarkTrigger,
+    PushError, RaceTierConfig, ReportLedger, ScrapeConfig, ScrapeTarget, ShardSpec, SnapshotStore,
+    StaticTierConfig, WatermarkTrigger,
 };
-use leaklab_cli::{flag, flags_all, split_flags};
+use leaklab_cli::{parse_command, switch, value, Args, Flag, Spec};
 use leakprof::FleetAccumulator;
 use shardmap::ShardMap;
 
+const THRESHOLD: Flag =
+    value::<u64>("threshold", "T", "criterion-1 blocked-goroutine count").default("40");
+const TOP: Flag = value::<usize>("top", "N", "suspects to rank").default("10");
+const INSTANCES: Flag = value::<usize>("instances", "N", "demo fleet size").default("100");
+const DAYS: Flag = value::<u32>("days", "D", "days of demo traffic").default("3");
+const SEED: Flag = value::<u64>("seed", "S", "demo fleet and jitter seed").default("7");
+const PORT: Flag = value::<u16>("port", "P", "endpoint port (0 picks one)").default("0");
+const SOURCE_DIR: Flag =
+    value::<PathBuf>("source-dir", "PATH", "criterion-2 filter over this tree");
+const ADDRS: Flag = value::<SocketAddr>("addr", "HOST:PORT", "daemon or fleet tier")
+    .repeated()
+    .required();
+const OUT: Flag = value::<String>("out", "PATH", "write here instead of stdout");
+
+const SERVE: Spec = Spec {
+    synopsis: "leakprofd serve",
+    about: "Scrape a demo fleet every cycle; serve /metrics, /status, /health, /trace, /flame.",
+    flags: &[
+        INSTANCES,
+        DAYS,
+        SEED,
+        PORT,
+        value::<u64>("cycles", "N", "cycles to run (0 runs until killed)").default("0"),
+        value::<u64>("interval-ms", "MS", "pause between cycles").default("1000"),
+        THRESHOLD,
+        TOP,
+        value::<PathBuf>("state-dir", "PATH", "snapshot, WAL, ledger and telemetry"),
+        value::<u64>("snapshot-every", "N", "cycles between snapshots").default("5"),
+        SOURCE_DIR,
+        value::<PathBuf>("race-dir", "PATH", "race-check this mini-Go tree"),
+        value::<bool>("keepalive", "BOOL", "reuse scrape connections").default("true"),
+        switch("tail-sample", "span detail only for slow or flagged cycles"),
+        switch("adaptive", "trend-driven scrape interval"),
+        value::<u64>("interval-min-ms", "MS", "adaptive lower bound").default("250"),
+        value::<u64>("interval-max-ms", "MS", "adaptive upper bound").default("8000"),
+        value::<String>("shard", "I/N", "scrape only seat I of N"),
+        value::<PathBuf>("shard-map", "PATH", "shard map file for --shard"),
+        switch("push", "accept POST /api/push"),
+        value::<usize>("push-queue", "N", "push admission queue").default("4096"),
+        value::<usize>("push-shards", "N", "push absorber shards").default("4"),
+        value::<usize>("accept-pending", "N", "queued connections before 503").default("1024"),
+        value::<usize>("http-workers", "N", "endpoint worker threads").default("2"),
+    ],
+};
+
+const SCRAPE_ONCE: Spec = Spec {
+    synopsis: "leakprofd scrape-once",
+    about: "One scrape cycle against --addr (or a fresh demo fleet); print the ranking.",
+    flags: &[
+        value::<SocketAddr>("addr", "HOST:PORT", "hub serving /instances"),
+        INSTANCES,
+        DAYS,
+        SEED,
+        THRESHOLD,
+        TOP,
+        value::<usize>("workers", "N", "scrape workers (0 sizes to the fleet)").default("0"),
+        value::<bool>("keepalive", "BOOL", "reuse scrape connections").default("false"),
+        SOURCE_DIR,
+    ],
+};
+
+const STATUS: Spec = Spec {
+    synopsis: "leakprofd status",
+    about: "Per-shard rows and the merged ranking of serving daemons.",
+    flags: &[ADDRS, THRESHOLD, TOP],
+};
+
+const TOP_CMD: Spec = Spec {
+    synopsis: "leakprofd top",
+    about: "Live dashboard of one daemon, or of several shards merged.",
+    flags: &[
+        ADDRS,
+        value::<u64>("refresh-ms", "MS", "pause between frames").default("1000"),
+        value::<u64>("frames", "N", "frames to draw (0 runs until killed)").default("0"),
+        THRESHOLD,
+        TOP,
+    ],
+};
+
+const TRACE: Spec = Spec {
+    synopsis: "leakprofd trace",
+    about: "Export /trace as Chrome trace events; several --addr stitch one timeline.",
+    flags: &[ADDRS, OUT],
+};
+
+const FLAME: Spec = Spec {
+    synopsis: "leakprofd flame",
+    about: "Fetch a flamegraph: SVG/HTML, folded stacks, differential or self.",
+    flags: &[
+        value::<SocketAddr>("addr", "HOST:PORT", "daemon or fleet tier").required(),
+        OUT,
+        switch("txt", "folded stacks instead of SVG/HTML"),
+        value::<u64>("from", "N", "differential window start (needs --to)"),
+        value::<u64>("to", "N", "differential window end (needs --from)"),
+        switch("self", "the daemon's own worker flame"),
+    ],
+};
+
+const RECOVER: Spec = Spec {
+    synopsis: "leakprofd recover",
+    about: "Replay a state dir offline: the ranking and ledger a restart resumes with.",
+    flags: &[
+        value::<String>("state-dir", "PATH", "daemon state dir").required(),
+        THRESHOLD,
+        TOP,
+        SOURCE_DIR,
+    ],
+};
+
+const BACKTEST: Spec = Spec {
+    synopsis: "leakprofd backtest",
+    about: "Weekly per-site trend tables from a state dir's telemetry store.",
+    flags: &[
+        value::<String>("state-dir", "PATH", "daemon state dir").required(),
+        value::<PathBuf>("out", "DIR", "also write report.txt and CSVs here"),
+        value::<u64>("week-len", "N", "cycles per week").default("7"),
+        value::<usize>("top", "N", "sites per table (0 = all)").default("0"),
+    ],
+};
+
+const MERGE: Spec = Spec {
+    synopsis: "leakprofd merge",
+    about: "Fold shard state dirs into one fleet-wide ranking.",
+    flags: &[
+        value::<PathBuf>("state-dir", "PATH", "shard state dir")
+            .repeated()
+            .required(),
+        value::<PathBuf>("out", "DIR", "write the merged state dir here"),
+        THRESHOLD,
+        TOP,
+    ],
+};
+
+const FLEET: Spec = Spec {
+    synopsis: "leakprofd fleet",
+    about: "Live merge tier: poll shard daemons, serve the merged endpoints.",
+    flags: &[
+        value::<SocketAddr>("shard-addr", "HOST:PORT", "shard daemon")
+            .repeated()
+            .required(),
+        PORT,
+        value::<u64>("interval-ms", "MS", "pause between polls").default("1000"),
+        value::<u64>("polls", "N", "polls to run (0 runs until killed)").default("0"),
+        value::<u32>("shards", "N", "canonical N-seat map (0 = never rebalance)").default("0"),
+        value::<PathBuf>("shard-map", "PATH", "shard map file instead of --shards"),
+        value::<PathBuf>("out-map", "PATH", "write each new map version here"),
+        THRESHOLD,
+        TOP,
+    ],
+};
+
+const CHAOS: Spec = Spec {
+    synopsis: "leakprofd chaos",
+    about: "Seeded faults and kill/restarts; exit 0 iff the crash-safety invariants hold.",
+    flags: &[
+        value::<usize>("instances", "N", "demo fleet size").default("8"),
+        value::<u64>("cycles", "N", "cycles to run").default("12"),
+        SEED,
+        value::<u64>("restart-every", "N", "cycles between kills").default("4"),
+        value::<PathBuf>("state-dir", "PATH", "state dir (default: under temp)"),
+    ],
+};
+
+const PUSH: Spec = Spec {
+    synopsis: "leakprofd push",
+    about: "Poll a fleet's profiles and POST them to a daemon's /api/push.",
+    flags: &[
+        value::<SocketAddr>("addr", "HOST:PORT", "daemon serving /api/push").required(),
+        value::<SocketAddr>("fleet-addr", "HOST:PORT", "hub serving /instances").required(),
+        value::<usize>("pushers", "N", "pusher threads").default("4"),
+        value::<u64>("rounds", "N", "poll rounds (0 runs until killed)").default("1"),
+        value::<u64>("watermark", "N", "push at this many goroutines").default("1"),
+        value::<u64>("heartbeat", "N", "push every N polls anyway (0 = never)").default("0"),
+        value::<u64>("interval-ms", "MS", "pause between rounds").default("500"),
+        SEED,
+        value::<String>("trace-out", "PATH", "write the pushers' Chrome trace here"),
+    ],
+};
+
+const RACECHECK: Spec = Spec {
+    synopsis: "leakprofd racecheck",
+    about: "Race-check a mini-Go tree; exit 0 race-free, 1 races found, 2 errors.",
+    flags: &[
+        value::<PathBuf>("dir", "PATH", "source tree").required(),
+        value::<String>("entry", "NAME", "run only this entry point"),
+        value::<u64>("seed", "S", "scheduler seed").default("13"),
+        value::<u64>("ticks", "N", "virtual ticks per entry").default("5000"),
+        switch("json", "findings as JSON"),
+    ],
+};
+
+/// A subcommand: `Err` carries the message of an exit-2 failure.
+type Run = fn(&Args) -> Result<ExitCode, String>;
+
+const COMMANDS: &[(Spec, Run)] = &[
+    (SERVE, serve),
+    (SCRAPE_ONCE, scrape_once),
+    (STATUS, status),
+    (TOP_CMD, top),
+    (TRACE, trace),
+    (FLAME, flame_cmd),
+    (RECOVER, recover),
+    (BACKTEST, backtest),
+    (MERGE, merge_cmd),
+    (FLEET, fleet_cmd),
+    (CHAOS, chaos),
+    (PUSH, push_cmd),
+    (RACECHECK, racecheck_cmd),
+];
+
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-        return ExitCode::from(2);
-    }
-    let cmd = args.remove(0);
-    let (_, flags) = split_flags(args);
-    match cmd.as_str() {
-        "serve" => serve(&flags),
-        "scrape-once" => scrape_once(&flags),
-        "status" => status(&flags),
-        "top" => top(&flags),
-        "trace" => trace(&flags),
-        "flame" => flame_cmd(&flags),
-        "recover" => recover(&flags),
-        "backtest" => backtest(&flags),
-        "merge" => merge_cmd(&flags),
-        "fleet" => fleet_cmd(&flags),
-        "chaos" => chaos(&flags),
-        "push" => push_cmd(&flags),
-        "racecheck" => racecheck_cmd(&flags),
-        _ => {
-            usage();
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn usage() {
-    eprintln!(
-        "usage: leakprofd <serve|scrape-once|status|top|trace|flame|recover|backtest|merge|fleet|chaos|push|racecheck> [flags]\n\
-         \x20 serve       [--instances N] [--days D] [--seed S] [--port P] [--cycles N]\n\
-         \x20             [--interval-ms MS] [--threshold T] [--top N]\n\
-         \x20             [--state-dir PATH] [--snapshot-every N] [--source-dir PATH]\n\
-         \x20             [--race-dir PATH]\n\
-         \x20             [--adaptive] [--interval-min-ms MS] [--interval-max-ms MS]\n\
-         \x20             [--shard I/N] [--shard-map PATH]\n\
-         \x20             [--push] [--push-queue N] [--push-shards N] [--accept-pending N]\n\
-         \x20             [--http-workers N] [--tail-sample]\n\
-         \x20 scrape-once [--addr HOST:PORT] [--instances N] [--days D] [--seed S]\n\
-         \x20             [--threshold T] [--top N] [--workers N] [--source-dir PATH]\n\
-         \x20 status      --addr HOST:PORT [--addr ...] [--threshold T] [--top N]\n\
-         \x20 top         --addr HOST:PORT [--addr ...] [--refresh-ms MS] [--frames N]\n\
-         \x20             [--threshold T] [--top N]\n\
-         \x20 trace       --addr HOST:PORT [--addr ...] [--out PATH]\n\
-         \x20 flame       --addr HOST:PORT [--out PATH] [--txt] [--from N --to N] [--self]\n\
-         \x20 recover     --state-dir PATH [--threshold T] [--top N] [--source-dir PATH]\n\
-         \x20 backtest    --state-dir PATH [--out DIR] [--week-len N] [--top N]\n\
-         \x20 merge       --state-dir PATH [--state-dir ...] [--out DIR] [--threshold T] [--top N]\n\
-         \x20 fleet       --shard-addr HOST:PORT [--shard-addr ...] [--port P] [--interval-ms MS]\n\
-         \x20             [--polls N] [--shards N | --shard-map PATH] [--out-map PATH]\n\
-         \x20             [--threshold T] [--top N]\n\
-         \x20 chaos       [--instances N] [--cycles N] [--seed S] [--restart-every N]\n\
-         \x20             [--state-dir PATH]\n\
-         \x20 push        --addr HOST:PORT --fleet-addr HOST:PORT [--pushers N] [--rounds N]\n\
-         \x20             [--watermark N] [--heartbeat N] [--interval-ms MS] [--seed S]\n\
-         \x20             [--trace-out PATH]\n\
-         \x20 racecheck   --dir PATH [--entry NAME] [--seed S] [--ticks N] [--json]\n\
-         \x20             (exit 0: race-free, 1: races found, 2: error)"
-    );
-}
-
-fn parsed<T: std::str::FromStr>(flags: &[(String, String)], name: &str, default: T) -> T {
-    flag(flags, name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// The ranking every subcommand starts from: `--threshold` (default
-/// 40) and `--top` (default 10), criterion-2 filter off — a static tier
-/// turns it on when one is configured.
-fn ranker(flags: &[(String, String)]) -> leakprof::LeakProf {
-    leakprof::LeakProf::new(leakprof::Config {
-        threshold: parsed(flags, "threshold", 40),
-        ast_filter: false,
-        top_n: parsed(flags, "top", 10),
+    let (run, args) = parse_command("leakprofd", COMMANDS, std::env::args().skip(1));
+    run(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::from(2)
     })
 }
 
-/// Builds the static-tier config when `--source-dir` is present. The
-/// verdict cache lands in the state dir when one is configured,
-/// otherwise as `verdicts.json` beside the sources (only `.go` files
-/// are scanned, so the cache never shadows a source file).
-fn static_tier_config(
-    flags: &[(String, String)],
-    state_dir: Option<&std::path::Path>,
-) -> Option<collector::StaticTierConfig> {
-    let src = std::path::PathBuf::from(flag(flags, "source-dir")?);
-    let dir = state_dir.unwrap_or(&src).to_path_buf();
-    Some(collector::StaticTierConfig::in_state_dir(src, &dir))
+/// The ranking every subcommand starts from: `--threshold` and `--top`,
+/// criterion-2 filter off — a static tier turns it on when one is
+/// configured.
+fn ranker(args: &Args) -> leakprof::LeakProf {
+    leakprof::LeakProf::new(leakprof::Config {
+        threshold: args.get("threshold"),
+        ast_filter: false,
+        top_n: args.get("top"),
+    })
 }
 
-/// Builds the race-tier config when `--race-dir` is present. The
-/// suspect cache lands in the state dir when one is configured,
-/// otherwise as `races.json` beside the sources.
-fn race_tier_config(
-    flags: &[(String, String)],
-    state_dir: Option<&std::path::Path>,
-) -> Option<collector::RaceTierConfig> {
-    let src = std::path::PathBuf::from(flag(flags, "race-dir")?);
+/// The source tree a tier reads (`--source-dir` or `--race-dir`) and
+/// the dir its cache lands in: the state dir when one is configured,
+/// otherwise beside the sources (only `.go` files are scanned, so the
+/// cache never shadows a source file).
+fn tier_dirs(args: &Args, flag: &str, state_dir: Option<&Path>) -> Option<(PathBuf, PathBuf)> {
+    let src: PathBuf = args.opt(flag)?;
     let dir = state_dir.unwrap_or(&src).to_path_buf();
-    Some(collector::RaceTierConfig::in_state_dir(src, &dir))
+    Some((src, dir))
+}
+
+/// The static-tier config when `--source-dir` is present.
+fn static_tier_config(args: &Args, state_dir: Option<&Path>) -> Option<StaticTierConfig> {
+    let (src, dir) = tier_dirs(args, "source-dir", state_dir)?;
+    Some(StaticTierConfig::in_state_dir(src, &dir))
 }
 
 /// Parses `--shard I/N` (+ optional `--shard-map PATH`) into a
 /// [`ShardSpec`]. Without `--shard-map` the canonical N-seat map is
 /// used — every shard computing `ShardMap::new(N)` independently gets
 /// the identical assignment, so no coordination is needed.
-fn shard_spec(flags: &[(String, String)]) -> Result<Option<ShardSpec>, ExitCode> {
-    let Some(spec) = flag(flags, "shard") else {
+fn shard_spec(args: &Args) -> Result<Option<ShardSpec>, String> {
+    let Some(spec) = args.opt::<String>("shard") else {
         return Ok(None);
     };
-    let parsed: Option<(u32, u32)> = spec
+    let (index, of): (u32, u32) = spec
         .split_once('/')
-        .and_then(|(i, n)| Some((i.parse().ok()?, n.parse().ok()?)));
-    let Some((index, of)) = parsed else {
-        eprintln!("error: --shard must be I/N (e.g. 0/3), got {spec}");
-        return Err(ExitCode::from(2));
-    };
-    let map = match flag(flags, "shard-map") {
-        Some(path) => ShardMap::load(std::path::Path::new(path)).map_err(|e| {
-            eprintln!("error: cannot load shard map {path}: {e}");
-            ExitCode::from(2)
-        })?,
+        .and_then(|(i, n)| Some((i.parse().ok()?, n.parse().ok()?)))
+        .ok_or_else(|| format!("--shard must be I/N (e.g. 0/3), got {spec}"))?;
+    let map = match args.opt::<PathBuf>("shard-map") {
+        Some(path) => ShardMap::load(&path)
+            .map_err(|e| format!("cannot load shard map {}: {e}", path.display()))?,
         None => ShardMap::new(of),
     };
     if map.total() != of {
-        eprintln!(
-            "error: --shard {spec} does not match the {}-seat shard map",
-            map.total()
-        );
-        return Err(ExitCode::from(2));
+        let seats = map.total();
+        return Err(format!(
+            "--shard {spec} does not match the {seats}-seat shard map"
+        ));
     }
     if index >= of {
-        eprintln!("error: --shard index {index} out of range for {of} shard(s)");
-        return Err(ExitCode::from(2));
+        return Err(format!(
+            "--shard index {index} out of range for {of} shard(s)"
+        ));
     }
     Ok(Some(ShardSpec { map, index }))
 }
 
-fn build_demo(flags: &[(String, String)]) -> (DemoFleet, collector::HttpServer) {
-    let instances: usize = parsed(flags, "instances", 100);
-    let seed: u64 = parsed(flags, "seed", 7);
-    let days: u32 = parsed(flags, "days", 3);
+/// Builds and serves the demo fleet, writing its handler sources into
+/// the static tier's source dir when one is configured.
+fn build_demo(
+    args: &Args,
+    static_tier: Option<&StaticTierConfig>,
+) -> Result<(DemoFleet, collector::HttpServer), String> {
+    let instances: usize = args.get("instances");
+    let seed: u64 = args.get("seed");
+    let days: u32 = args.get("days");
     eprintln!(
         "leakprofd: building demo fleet ({instances} instances, {days} day(s) of traffic, seed {seed})..."
     );
@@ -289,95 +401,56 @@ fn build_demo(flags: &[(String, String)]) -> (DemoFleet, collector::HttpServer) 
         demo.hub.instances().len(),
         server.addr()
     );
-    (demo, server)
+    if let Some(tier) = static_tier {
+        let dir = tier.source_dir.display();
+        demo.write_sources(&tier.source_dir)
+            .map_err(|e| format!("cannot write sources to {dir}: {e}"))?;
+    }
+    Ok((demo, server))
 }
 
-fn scrape_once(flags: &[(String, String)]) -> ExitCode {
-    let static_tier = static_tier_config(flags, None);
+/// The instance ids a hub serves at `/instances`.
+fn list_instances(addr: SocketAddr) -> Result<Vec<String>, String> {
+    fetch(addr, "/instances")
+        .and_then(|body| serde_json::from_str(&body).map_err(|e| format!("/instances: {e}")))
+        .map_err(|e| format!("cannot list instances at {addr}: {e}"))
+}
+
+fn scrape_once(args: &Args) -> Result<ExitCode, String> {
+    let static_tier = static_tier_config(args, None);
     let scrape = ScrapeConfig {
-        workers: parsed(flags, "workers", 0),
-        jitter_seed: parsed(flags, "seed", 7u64),
-        keepalive: parsed(flags, "keepalive", false),
+        workers: args.get("workers"),
+        jitter_seed: args.get("seed"),
+        keepalive: args.get("keepalive"),
         ..ScrapeConfig::default()
     };
 
     // Keep demo-fleet state (and its server) alive for the scrape.
-    let demo_parts;
-    let (lp, targets) = match flag(flags, "addr") {
-        Some(addr) => {
-            // Against an external hub: discover instances via /instances.
-            let addr: std::net::SocketAddr = match addr.parse() {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("error: bad --addr {addr}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let body = match collector::http_get(
+    let _demo;
+    let targets = match args.opt::<SocketAddr>("addr") {
+        // Against an external hub: discover instances via /instances.
+        Some(addr) => list_instances(addr)?
+            .into_iter()
+            .map(|id| ScrapeTarget {
+                path: ProfileHub::profile_path(&id),
+                instance: id,
                 addr,
-                "/instances",
-                std::time::Duration::from_millis(500),
-                std::time::Duration::from_millis(1000),
-            ) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("error: cannot list instances at {addr}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let ids: Vec<String> = match std::str::from_utf8(&body)
-                .ok()
-                .and_then(|s| serde_json::from_str(s).ok())
-            {
-                Some(ids) => ids,
-                None => {
-                    eprintln!("error: {addr}/instances did not return a JSON string array");
-                    return ExitCode::from(2);
-                }
-            };
-            let targets = ids
-                .into_iter()
-                .map(|id| ScrapeTarget {
-                    path: ProfileHub::profile_path(&id),
-                    instance: id,
-                    addr,
-                })
-                .collect();
-            (ranker(flags), targets)
-        }
+            })
+            .collect(),
         None => {
-            let (demo, server) = build_demo(flags);
-            if let Some(tier) = &static_tier {
-                if let Err(e) = demo.write_sources(&tier.source_dir) {
-                    eprintln!(
-                        "error: cannot write sources to {}: {e}",
-                        tier.source_dir.display()
-                    );
-                    return ExitCode::from(2);
-                }
-            }
+            let (demo, server) = build_demo(args, static_tier.as_ref())?;
             let targets = demo.targets(server.addr());
-            demo_parts = (demo, server);
-            let _ = &demo_parts;
-            (ranker(flags), targets)
+            _demo = (demo, server);
+            targets
         }
     };
 
-    let mut daemon = match Daemon::new(
-        DaemonConfig {
-            scrape,
-            static_tier,
-            ..DaemonConfig::default()
-        },
-        lp,
-        targets,
-    ) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+    let config = DaemonConfig {
+        scrape,
+        static_tier,
+        ..DaemonConfig::default()
     };
+    let mut daemon = Daemon::new(config, ranker(args), targets).map_err(|e| e.to_string())?;
     let started = std::time::Instant::now();
     let cycle = daemon.run_cycle();
     let wall = started.elapsed();
@@ -394,86 +467,68 @@ fn scrape_once(flags: &[(String, String)]) -> ExitCode {
     }
     println!("cycle wall time: {:.2} s", wall.as_secs_f64());
     if cycle.stats.succeeded == 0 && cycle.stats.targets > 0 {
-        ExitCode::from(1)
+        Ok(ExitCode::from(1))
     } else {
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     }
 }
 
-fn serve(flags: &[(String, String)]) -> ExitCode {
-    let cycles: u64 = parsed(flags, "cycles", 0);
-    let interval_ms: u64 = parsed(flags, "interval-ms", 1000);
-    let port: u16 = parsed(flags, "port", 0);
+fn serve(args: &Args) -> Result<ExitCode, String> {
+    let cycles: u64 = args.get("cycles");
+    let interval_ms: u64 = args.get("interval-ms");
 
-    let state_dir = flag(flags, "state-dir").map(std::path::PathBuf::from);
-    let static_tier = static_tier_config(flags, state_dir.as_deref());
-    let race_tier = race_tier_config(flags, state_dir.as_deref());
-    let shard = match shard_spec(flags) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
+    let state_dir: Option<PathBuf> = args.opt("state-dir");
+    let static_tier = static_tier_config(args, state_dir.as_deref());
+    let race_tier = tier_dirs(args, "race-dir", state_dir.as_deref())
+        .map(|(src, dir)| RaceTierConfig::in_state_dir(src, &dir));
+    let shard = shard_spec(args)?;
 
-    let (mut demo, fleet_server) = build_demo(flags);
-    if let Some(tier) = &static_tier {
-        if let Err(e) = demo.write_sources(&tier.source_dir) {
-            eprintln!(
-                "error: cannot write sources to {}: {e}",
-                tier.source_dir.display()
-            );
-            return ExitCode::from(2);
-        }
-    }
+    let (mut demo, fleet_server) = build_demo(args, static_tier.as_ref())?;
     let targets = demo.targets(fleet_server.addr());
     // With --source-dir the daemon's static tier installs cached
     // verdicts and turns the filter on itself.
-    let lp = ranker(flags);
+    let lp = ranker(args);
 
     let config = DaemonConfig {
         scrape: ScrapeConfig {
-            jitter_seed: parsed(flags, "seed", 7u64),
+            jitter_seed: args.get("seed"),
             // Keep-alive on by default: the daemon re-scrapes the same
             // fleet every cycle, the textbook case for pooling.
-            keepalive: parsed(flags, "keepalive", true),
+            keepalive: args.get("keepalive"),
             ..ScrapeConfig::default()
         },
         state_dir,
-        snapshot_every: parsed(flags, "snapshot-every", 5u64).max(1),
+        snapshot_every: args.get::<u64>("snapshot-every").max(1),
         trace: obs::TraceConfig {
             // Tail sampling keeps full span detail only for flagged or
             // slow cycles; stage histograms stay always-on either way.
-            tail_sample: parsed(flags, "tail-sample", false),
+            tail_sample: args.on("tail-sample"),
             ..obs::TraceConfig::default()
         },
         static_tier,
         race_tier,
-        adaptive: if parsed(flags, "adaptive", false) {
+        adaptive: if args.on("adaptive") {
             AdaptiveConfig::enabled(
-                parsed(flags, "interval-min-ms", 250),
-                parsed(flags, "interval-max-ms", 8000),
+                args.get("interval-min-ms"),
+                args.get("interval-max-ms"),
                 interval_ms,
             )
         } else {
             AdaptiveConfig::default()
         },
         shard,
-        ingest: parsed(flags, "push", false).then(|| collector::IngestConfig {
-            queue_capacity: parsed(flags, "push-queue", 4096),
-            shards: parsed(flags, "push-shards", 4),
-            accept_pending: parsed(flags, "accept-pending", 1024),
-            jitter_seed: parsed(flags, "seed", 7u64),
+        ingest: args.on("push").then(|| collector::IngestConfig {
+            queue_capacity: args.get("push-queue"),
+            shards: args.get("push-shards"),
+            accept_pending: args.get("accept-pending"),
+            jitter_seed: args.get("seed"),
             ..collector::IngestConfig::default()
         }),
         ..DaemonConfig::default()
     };
     let push_enabled = config.ingest.is_some();
-    let http_workers: usize = parsed(flags, "http-workers", 2);
-    let daemon = match Daemon::new(config, lp, targets) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: cannot open daemon state: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let daemon =
+        Daemon::new(config, lp, targets).map_err(|e| format!("cannot open daemon state: {e}"))?;
     if let Some(id) = daemon.shard() {
         println!(
             "leakprofd: shard {id}: scraping {} of {} instance(s)",
@@ -488,17 +543,12 @@ fn serve(flags: &[(String, String)]) -> ExitCode {
         );
     }
     let daemon = Arc::new(Mutex::new(daemon));
-    let endpoints = match serve_daemon_endpoints_with(
+    let endpoints = serve_daemon_endpoints_with(
         Arc::clone(&daemon),
-        &format!("127.0.0.1:{port}"),
-        http_workers,
-    ) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot bind daemon endpoints: {e}");
-            return ExitCode::from(2);
-        }
-    };
+        &format!("127.0.0.1:{}", args.get::<u16>("port")),
+        args.get("http-workers"),
+    )
+    .map_err(|e| format!("cannot bind daemon endpoints: {e}"))?;
     println!(
         "leakprofd: serving /metrics, /status, /trace, /logs, /debug/self{} on http://{} (fleet at http://{})",
         if push_enabled { ", /api/push" } else { "" },
@@ -534,7 +584,7 @@ fn serve(flags: &[(String, String)]) -> ExitCode {
         }
         if report.stats.succeeded == 0 && report.stats.targets > 0 {
             eprintln!("leakprofd: cycle scraped nothing; aborting");
-            return ExitCode::from(1);
+            return Ok(ExitCode::from(1));
         }
         if cycles > 0 && ran >= cycles {
             break;
@@ -556,7 +606,7 @@ fn serve(flags: &[(String, String)]) -> ExitCode {
             }
             d.current_interval_ms(interval_ms)
         };
-        std::thread::sleep(std::time::Duration::from_millis(sleep_ms));
+        std::thread::sleep(Duration::from_millis(sleep_ms));
         demo.advance_and_republish(1);
     }
     let mut daemon = daemon.lock().expect("daemon poisoned");
@@ -571,97 +621,53 @@ fn serve(flags: &[(String, String)]) -> ExitCode {
         print!("{}", report.render());
     }
     print!("{}", daemon.metrics_text());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn status(flags: &[(String, String)]) -> ExitCode {
-    let addr_values = flags_all(flags, "addr");
-    if addr_values.is_empty() {
-        eprintln!("usage: leakprofd status --addr HOST:PORT [--addr ...]");
-        return ExitCode::from(2);
-    }
-    let addrs = match parse_addrs(&addr_values, "addr") {
-        Ok(a) => a,
-        Err(code) => return code,
-    };
-    let peeks: Vec<ShardPeek> = addrs.into_iter().map(peek_shard).collect();
-    print!("{}", render_overview(&peeks, &ranker(flags)));
-    ExitCode::SUCCESS
-}
-
-/// Parses `--addr`, printing a usage line naming `cmd` when absent or
-/// malformed.
-fn addr_flag(flags: &[(String, String)], cmd: &str) -> Result<std::net::SocketAddr, ExitCode> {
-    let Some(addr) = flag(flags, "addr") else {
-        eprintln!("usage: leakprofd {cmd} --addr HOST:PORT");
-        return Err(ExitCode::from(2));
-    };
-    addr.parse().map_err(|e| {
-        eprintln!("error: bad --addr {addr}: {e}");
-        ExitCode::from(2)
-    })
+fn status(args: &Args) -> Result<ExitCode, String> {
+    let peeks: Vec<ShardPeek> = args.all("addr").into_iter().map(peek_shard).collect();
+    print!("{}", render_overview(&peeks, &ranker(args)));
+    Ok(ExitCode::SUCCESS)
 }
 
 /// GETs `path` from a serving daemon and returns the UTF-8 body.
-fn fetch(addr: std::net::SocketAddr, path: &str) -> Result<String, String> {
+fn fetch(addr: SocketAddr, path: &str) -> Result<String, String> {
     let body = collector::http_get(
         addr,
         path,
-        std::time::Duration::from_millis(1000),
-        std::time::Duration::from_millis(2000),
+        Duration::from_millis(1000),
+        Duration::from_millis(2000),
     )
     .map_err(|e| format!("{path}: {e}"))?;
     String::from_utf8(body).map_err(|e| format!("{path}: not UTF-8: {e}"))
 }
 
-/// Parses a repeated address flag, naming the flag in errors.
-fn parse_addrs(values: &[&str], flag_name: &str) -> Result<Vec<std::net::SocketAddr>, ExitCode> {
-    values
-        .iter()
-        .map(|a| {
-            a.parse().map_err(|e| {
-                eprintln!("error: bad --{flag_name} {a}: {e}");
-                ExitCode::from(2)
-            })
-        })
-        .collect()
-}
-
 /// One polled daemon in the multi-address overview: its snapshot (the
-/// merge input), its breaker counters if it serves a daemon `/status`,
-/// or why it could not be reached.
+/// merge input) or why it could not be reached, and its breaker
+/// counters if it serves a daemon `/status`.
 struct ShardPeek {
-    addr: std::net::SocketAddr,
-    snap: Option<ApiSnapshot>,
+    addr: SocketAddr,
+    snap: Result<ApiSnapshot, String>,
     breakers: Option<collector::BreakerSummary>,
-    error: Option<String>,
 }
 
 /// Fetches one peer's `/api/snapshot` (and, best-effort, its `/status`
 /// breaker counters — a fleet aggregator serves a different status
 /// document, so this stays optional).
-fn peek_shard(addr: std::net::SocketAddr) -> ShardPeek {
-    match fetch(addr, "/api/snapshot").and_then(|body| {
+fn peek_shard(addr: SocketAddr) -> ShardPeek {
+    let snap = fetch(addr, "/api/snapshot").and_then(|body| {
         serde_json::from_str::<ApiSnapshot>(&body).map_err(|e| format!("/api/snapshot: {e}"))
-    }) {
-        Ok(snap) => {
-            let breakers = fetch(addr, "/status")
-                .ok()
-                .and_then(|body| serde_json::from_str::<collector::DaemonStatus>(&body).ok())
-                .map(|s| s.breakers);
-            ShardPeek {
-                addr,
-                snap: Some(snap),
-                breakers,
-                error: None,
-            }
-        }
-        Err(e) => ShardPeek {
-            addr,
-            snap: None,
-            breakers: None,
-            error: Some(e),
-        },
+    });
+    let breakers = snap
+        .as_ref()
+        .ok()
+        .and_then(|_| fetch(addr, "/status").ok())
+        .and_then(|body| serde_json::from_str::<collector::DaemonStatus>(&body).ok())
+        .map(|s| s.breakers);
+    ShardPeek {
+        addr,
+        snap,
+        breakers,
     }
 }
 
@@ -673,7 +679,7 @@ fn render_overview(peeks: &[ShardPeek], lp: &leakprof::LeakProf) -> String {
     let mut out = String::new();
     let mut order: Vec<&ShardPeek> = peeks.iter().collect();
     order.sort_by_key(|p| {
-        let shard = p.snap.as_ref().and_then(|s| s.shard.as_ref());
+        let shard = p.snap.as_ref().ok().and_then(|s| s.shard.as_ref());
         fold_order(shard, p.addr.to_string())
     });
     let _ = writeln!(
@@ -686,7 +692,7 @@ fn render_overview(peeks: &[ShardPeek], lp: &leakprof::LeakProf) -> String {
     let mut reachable = 0usize;
     for p in order {
         match &p.snap {
-            Some(snap) => {
+            Ok(snap) => {
                 reachable += 1;
                 let shard = snap
                     .shard
@@ -709,17 +715,11 @@ fn render_overview(peeks: &[ShardPeek], lp: &leakprof::LeakProf) -> String {
                     let _ = writeln!(out, "  warning: bad snapshot from {}: {e}", p.addr);
                 }
             }
-            None => {
+            Err(e) => {
                 let _ = writeln!(
                     out,
                     "{:<8} {:<21} {:>6} {:>7} {:>8}  {:<16} stale ({})",
-                    "?",
-                    p.addr,
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    p.error.as_deref().unwrap_or("unreachable")
+                    "?", p.addr, "-", "-", "-", "-", e
                 );
             }
         }
@@ -742,76 +742,46 @@ fn render_overview(peeks: &[ShardPeek], lp: &leakprof::LeakProf) -> String {
 /// Live text dashboard over a serving daemon's `/status` — or, with
 /// repeated `--addr`, a per-shard freshness board above the merged
 /// fleet ranking.
-fn top(flags: &[(String, String)]) -> ExitCode {
-    let addr_values = flags_all(flags, "addr");
-    if addr_values.len() > 1 {
-        let addrs = match parse_addrs(&addr_values, "addr") {
-            Ok(a) => a,
-            Err(code) => return code,
-        };
-        let refresh_ms: u64 = parsed(flags, "refresh-ms", 1000);
-        let frames: u64 = parsed(flags, "frames", 0);
-        let lp = ranker(flags);
-        let mut shown = 0u64;
-        loop {
-            let peeks: Vec<ShardPeek> = addrs.iter().copied().map(peek_shard).collect();
-            if shown > 0 {
-                print!("\x1b[2J\x1b[H");
-            }
-            println!("leakprofd top — {} shard(s)", addrs.len());
-            print!("{}", render_overview(&peeks, &lp));
-            use std::io::Write as _;
-            let _ = std::io::stdout().flush();
-            shown += 1;
-            if frames > 0 && shown >= frames {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(refresh_ms));
-        }
-        return ExitCode::SUCCESS;
-    }
-    let addr = match addr_flag(flags, "top") {
-        Ok(a) => a,
-        Err(code) => return code,
-    };
-    let refresh_ms: u64 = parsed(flags, "refresh-ms", 1000);
-    let frames: u64 = parsed(flags, "frames", 0);
+fn top(args: &Args) -> Result<ExitCode, String> {
+    let addrs: Vec<SocketAddr> = args.all("addr");
+    let frames: u64 = args.get("frames");
+    let lp = ranker(args);
     let mut shown = 0u64;
     loop {
-        let status: collector::DaemonStatus = match fetch(addr, "/status")
-            .and_then(|body| serde_json::from_str(&body).map_err(|e| format!("/status: {e}")))
-        {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
+        let frame = if let [addr] = addrs[..] {
+            let status: collector::DaemonStatus = fetch(addr, "/status").and_then(|body| {
+                serde_json::from_str(&body).map_err(|e| format!("/status: {e}"))
+            })?;
+            // Health (trend verdicts + sparklines) is best-effort: absent
+            // before the first cycle completes.
+            let health: Option<FleetHealth> = fetch(addr, "/health")
+                .ok()
+                .and_then(|body| serde_json::from_str(&body).ok());
+            render_top(addr, &status, health.as_ref())
+        } else {
+            let peeks: Vec<ShardPeek> = addrs.iter().copied().map(peek_shard).collect();
+            let overview = render_overview(&peeks, &lp);
+            format!("leakprofd top — {} shard(s)\n{overview}", addrs.len())
         };
-        // Health (trend verdicts + sparklines) is best-effort: absent
-        // before the first cycle completes.
-        let health: Option<FleetHealth> = fetch(addr, "/health")
-            .ok()
-            .and_then(|body| serde_json::from_str(&body).ok());
         if shown > 0 {
             // Repaint in place so the dashboard refreshes rather than
             // scrolls.
             print!("\x1b[2J\x1b[H");
         }
-        print!("{}", render_top(addr, &status, health.as_ref()));
-        use std::io::Write as _;
+        print!("{frame}");
         let _ = std::io::stdout().flush();
         shown += 1;
         if frames > 0 && shown >= frames {
             break;
         }
-        std::thread::sleep(std::time::Duration::from_millis(refresh_ms));
+        std::thread::sleep(Duration::from_millis(args.get("refresh-ms")));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// One dashboard frame.
 fn render_top(
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     s: &collector::DaemonStatus,
     health: Option<&FleetHealth>,
 ) -> String {
@@ -915,41 +885,35 @@ fn render_top(
     out
 }
 
+/// One Chrome trace-event document: a single process keeps the flat
+/// export, several are stitched into per-process lanes.
+fn chrome(snapshots: &[obs::TraceSnapshot]) -> String {
+    match snapshots {
+        [one] => obs::to_chrome(one),
+        many => obs::to_chrome_stitched(many),
+    }
+}
+
 /// Exports serving daemons' `/trace` as Chrome trace-event JSON. One
 /// `--addr` keeps the flat single-process export; repeating the flag
 /// stitches every process's snapshot into one timeline with per-process
 /// lanes and cross-process flow arrows (the distributed trace view).
-fn trace(flags: &[(String, String)]) -> ExitCode {
-    let addr_values = flags_all(flags, "addr");
-    if addr_values.is_empty() {
-        eprintln!("usage: leakprofd trace --addr HOST:PORT [--addr ...] [--out PATH]");
-        return ExitCode::from(2);
-    }
-    let addrs = match parse_addrs(&addr_values, "addr") {
-        Ok(a) => a,
-        Err(code) => return code,
-    };
-    let mut snapshots: Vec<obs::TraceSnapshot> = Vec::with_capacity(addrs.len());
-    for addr in &addrs {
+fn trace(args: &Args) -> Result<ExitCode, String> {
+    let mut snapshots: Vec<obs::TraceSnapshot> = Vec::new();
+    for addr in args.all::<SocketAddr>("addr") {
         // A daemon's /trace is a raw TraceSnapshot; a fleet
         // aggregator's /trace is an already-stitched Chrome array, so
         // fall back to its /trace/self for the restitchable snapshot.
-        let snap = fetch(*addr, "/trace").and_then(|body| {
+        let snap = fetch(addr, "/trace").and_then(|body| {
             if body.trim_start().starts_with('[') {
-                fetch(*addr, "/trace/self").and_then(|body| {
+                fetch(addr, "/trace/self").and_then(|body| {
                     serde_json::from_str(&body).map_err(|e| format!("/trace/self: {e}"))
                 })
             } else {
                 serde_json::from_str(&body).map_err(|e| format!("/trace: {e}"))
             }
         });
-        match snap {
-            Ok(s) => snapshots.push(s),
-            Err(e) => {
-                eprintln!("error: {addr}: {e}");
-                return ExitCode::from(2);
-            }
-        }
+        snapshots.push(snap.map_err(|e| format!("{addr}: {e}"))?);
     }
     let spans: usize = snapshots
         .iter()
@@ -957,16 +921,10 @@ fn trace(flags: &[(String, String)]) -> ExitCode {
         .map(|c| c.spans.len())
         .sum();
     let cycles: usize = snapshots.iter().map(|s| s.cycles.len()).sum();
-    let chrome = match snapshots.as_slice() {
-        [one] => obs::to_chrome(one),
-        many => obs::to_chrome_stitched(many),
-    };
-    match flag(flags, "out") {
+    let chrome = chrome(&snapshots);
+    match args.opt::<String>("out") {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &chrome) {
-                eprintln!("error: cannot write {path}: {e}");
-                return ExitCode::from(2);
-            }
+            std::fs::write(&path, &chrome).map_err(|e| format!("cannot write {path}: {e}"))?;
             println!(
                 "wrote {spans} span(s) across {cycles} cycle(s) from {} process(es) to {path} \
                  (open in chrome://tracing or Perfetto)",
@@ -975,28 +933,20 @@ fn trace(flags: &[(String, String)]) -> ExitCode {
         }
         None => println!("{chrome}"),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Fetches a flamegraph from a serving daemon or fleet aggregator:
 /// HTML/SVG by default, collapsed folded-stack text with `--txt`;
 /// `--from`/`--to` selects the differential view, `--self` the
 /// daemon's own worker/stage self-time flame.
-fn flame_cmd(flags: &[(String, String)]) -> ExitCode {
-    let Some(addr_value) = flag(flags, "addr") else {
-        eprintln!("usage: leakprofd flame --addr HOST:PORT [--out PATH] [--txt] [--from N --to N] [--self]");
-        return ExitCode::from(2);
-    };
-    let addrs = match parse_addrs(&[addr_value], "addr") {
-        Ok(a) => a,
-        Err(code) => return code,
-    };
-    let txt: bool = parsed(flags, "txt", false);
-    let self_flame: bool = parsed(flags, "self", false);
-    let path = if self_flame {
-        if flag(flags, "from").is_some() || flag(flags, "to").is_some() {
-            eprintln!("error: --self has no differential view (drop --from/--to)");
-            return ExitCode::from(2);
+fn flame_cmd(args: &Args) -> Result<ExitCode, String> {
+    let addr: SocketAddr = args.get("addr");
+    let txt = args.on("txt");
+    let (from, to) = (args.opt::<u64>("from"), args.opt::<u64>("to"));
+    let path = if args.on("self") {
+        if from.is_some() || to.is_some() {
+            return Err("--self has no differential view (drop --from/--to)".into());
         }
         if txt {
             "/flame/self.txt"
@@ -1006,64 +956,38 @@ fn flame_cmd(flags: &[(String, String)]) -> ExitCode {
         .to_string()
     } else {
         let base = if txt { "/flame.txt" } else { "/flame" };
-        match (flag(flags, "from"), flag(flags, "to")) {
+        match (from, to) {
             (None, None) => base.to_string(),
             (Some(from), Some(to)) => format!("{base}?from={from}&to={to}"),
-            _ => {
-                eprintln!("error: --from and --to must be given together");
-                return ExitCode::from(2);
-            }
+            _ => return Err("--from and --to must be given together".into()),
         }
     };
-    let body = match fetch(addrs[0], &path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {}: {e}", addrs[0]);
-            return ExitCode::from(2);
-        }
-    };
-    match flag(flags, "out") {
+    let body = fetch(addr, &path).map_err(|e| format!("{addr}: {e}"))?;
+    match args.opt::<String>("out") {
         Some(out) => {
-            if let Err(e) = std::fs::write(out, &body) {
-                eprintln!("error: cannot write {out}: {e}");
-                return ExitCode::from(2);
-            }
+            std::fs::write(&out, &body).map_err(|e| format!("cannot write {out}: {e}"))?;
             println!(
-                "wrote {} from {}{path} to {out}{}",
+                "wrote {} from {addr}{path} to {out}{}",
                 if txt { "folded stacks" } else { "flamegraph" },
-                addrs[0],
                 if txt { "" } else { " (open in a browser)" },
             );
         }
         None => print!("{body}"),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Offline inspection of a state directory: what a restarting daemon
 /// would reconstruct, and the ranking it would resume with.
-fn recover(flags: &[(String, String)]) -> ExitCode {
-    let Some(dir) = flag(flags, "state-dir") else {
-        eprintln!("usage: leakprofd recover --state-dir PATH [--threshold T] [--top N]");
-        return ExitCode::from(2);
-    };
-    let store = match SnapshotStore::open(dir) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot open {dir}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let recovery = match store.recover() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: cannot recover {dir}: {e}");
-            return ExitCode::from(2);
-        }
-    };
+fn recover(args: &Args) -> Result<ExitCode, String> {
+    let dir: String = args.get("state-dir");
+    let store = SnapshotStore::open(&dir).map_err(|e| format!("cannot open {dir}: {e}"))?;
+    let recovery = store
+        .recover()
+        .map_err(|e| format!("cannot recover {dir}: {e}"))?;
     if recovery.is_empty() {
         println!("no durable state in {dir}: a daemon would start fresh");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     match &recovery.snapshot {
         Some(snap) => println!(
@@ -1072,13 +996,9 @@ fn recover(flags: &[(String, String)]) -> ExitCode {
         ),
         None => println!("no snapshot committed yet"),
     }
-    let acc = match recovery.replay() {
-        Ok((acc, _)) => acc,
-        Err(e) => {
-            eprintln!("error: snapshot does not restore: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let (acc, _) = recovery
+        .replay()
+        .map_err(|e| format!("snapshot does not restore: {e}"))?;
     println!(
         "wal: {} replayable cycle(s){}",
         recovery.wal.len(),
@@ -1092,11 +1012,11 @@ fn recover(flags: &[(String, String)]) -> ExitCode {
         recovery.last_cycle()
     );
 
-    let mut lp = ranker(flags);
+    let mut lp = ranker(args);
     // Sources are not part of durable state, but --source-dir plus the
     // persisted verdict cache recovers the filter too — warm caches
     // answer without parsing anything.
-    if let Some(tier_config) = static_tier_config(flags, Some(std::path::Path::new(dir))) {
+    if let Some(tier_config) = static_tier_config(args, Some(Path::new(&dir))) {
         match collector::StaticTier::open(tier_config).and_then(|mut t| t.sync()) {
             Ok(verdicts) => {
                 lp.install_verdicts(verdicts);
@@ -1107,7 +1027,7 @@ fn recover(flags: &[(String, String)]) -> ExitCode {
     }
     print!("{}", lp.report_from_accumulator(&acc).render());
 
-    let ledger_path = std::path::Path::new(dir).join("ledger.json");
+    let ledger_path = Path::new(&dir).join("ledger.json");
     if ledger_path.exists() {
         match ReportLedger::open(&ledger_path, Default::default()) {
             Ok(ledger) => {
@@ -1127,72 +1047,42 @@ fn recover(flags: &[(String, String)]) -> ExitCode {
             Err(e) => eprintln!("warning: ledger unreadable: {e}"),
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Offline replay of fleet telemetry into weekly per-site trend tables
 /// — the same classification path as the live `/health`.
-fn backtest(flags: &[(String, String)]) -> ExitCode {
+fn backtest(args: &Args) -> Result<ExitCode, String> {
     let config = BacktestConfig {
-        week_len: parsed(flags, "week-len", 7u64).max(1),
-        top: parsed(flags, "top", 0usize),
+        week_len: args.get::<u64>("week-len").max(1),
+        top: args.get("top"),
         ..BacktestConfig::default()
     };
-    let Some(dir) = flag(flags, "state-dir") else {
-        eprintln!(
-            "usage: leakprofd backtest --state-dir PATH [--out DIR] [--week-len N] [--top N]"
-        );
-        return ExitCode::from(2);
-    };
+    let dir: String = args.get("state-dir");
     // The store a serving daemon persisted under --state-dir.
-    let ts =
-        match timeseries::TsStore::open(std::path::Path::new(dir).join("ts"), Default::default()) {
-            Ok(ts) => ts,
-            Err(e) => {
-                eprintln!("error: cannot open telemetry store under {dir}: {e}");
-                return ExitCode::from(2);
-            }
-        };
+    let ts = timeseries::TsStore::open(Path::new(&dir).join("ts"), Default::default())
+        .map_err(|e| format!("cannot open telemetry store under {dir}: {e}"))?;
     let report = backtest_store(&ts, &config);
     print!("{}", render_table(&report));
-    if let Some(out) = flag(flags, "out") {
-        let out = std::path::Path::new(out);
-        if let Err(e) = write_report(&report, out) {
-            eprintln!("error: cannot write report to {}: {e}", out.display());
-            return ExitCode::from(2);
-        }
+    if let Some(out) = args.opt::<PathBuf>("out") {
+        write_report(&report, &out)
+            .map_err(|e| format!("cannot write report to {}: {e}", out.display()))?;
         println!(
             "wrote report.txt, weekly_rms.csv, verdicts.csv to {}",
             out.display()
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `leakprofd merge`: fold N shard state dirs (snapshot + WAL replay
 /// each, exactly like a restarting daemon) into one fleet-wide ranking
 /// — byte-identical to a single whole-fleet daemon's. `--out DIR`
 /// persists the fold as a regular state dir.
-fn merge_cmd(flags: &[(String, String)]) -> ExitCode {
-    let dirs: Vec<std::path::PathBuf> = flags_all(flags, "state-dir")
-        .into_iter()
-        .map(std::path::PathBuf::from)
-        .collect();
-    if dirs.is_empty() {
-        eprintln!(
-            "usage: leakprofd merge --state-dir PATH [--state-dir ...] [--out DIR] \
-             [--threshold T] [--top N]"
-        );
-        return ExitCode::from(2);
-    }
+fn merge_cmd(args: &Args) -> Result<ExitCode, String> {
     let config = MergeConfig::default();
-    let mut merged = match merge_state_dirs(&dirs, &config) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: merge failed: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let mut merged = merge_state_dirs(&args.all::<PathBuf>("state-dir"), &config)
+        .map_err(|e| format!("merge failed: {e}"))?;
     println!(
         "merged {} shard state dir(s), fleet cycle {}:",
         merged.shards.len(),
@@ -1208,81 +1098,57 @@ fn merge_cmd(flags: &[(String, String)]) -> ExitCode {
             shard, s.cycle, s.profiles_ingested, s.dir
         );
     }
-    let lp = ranker(flags);
+    let lp = ranker(args);
     print!("{}", lp.report_from_accumulator(&merged.acc).render());
     println!("{}", merged.ledger.summary());
-    if let Some(out) = flag(flags, "out") {
-        let out = std::path::Path::new(out);
-        if let Err(e) = write_merged(out, &mut merged, &config) {
-            eprintln!("error: cannot write merged state to {}: {e}", out.display());
-            return ExitCode::from(2);
-        }
+    if let Some(out) = args.opt::<PathBuf>("out") {
+        write_merged(&out, &mut merged, &config)
+            .map_err(|e| format!("cannot write merged state to {}: {e}", out.display()))?;
         println!(
             "wrote merged state dir to {} (snapshot + ledger.json + ts)",
             out.display()
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `leakprofd fleet`: the long-running live merge tier. Polls each
 /// `--shard-addr`'s `/api/snapshot` behind circuit breakers, serves
 /// the merged endpoints, and — with `--shard-map`/`--out-map` — writes
 /// every rebalanced map version out for shard daemons to pick up.
-fn fleet_cmd(flags: &[(String, String)]) -> ExitCode {
-    let addr_values = flags_all(flags, "shard-addr");
-    if addr_values.is_empty() {
-        eprintln!(
-            "usage: leakprofd fleet --shard-addr HOST:PORT [--shard-addr ...] [--port P] \
-             [--interval-ms MS] [--polls N] [--shards N | --shard-map PATH] [--out-map PATH] \
-             [--threshold T] [--top N]"
-        );
-        return ExitCode::from(2);
-    }
-    let addrs = match parse_addrs(&addr_values, "shard-addr") {
-        Ok(a) => a,
-        Err(code) => return code,
-    };
-    let map = match flag(flags, "shard-map") {
-        Some(path) => match ShardMap::load(std::path::Path::new(path)) {
-            Ok(m) => Some(m),
-            Err(e) => {
-                eprintln!("error: cannot load shard map {path}: {e}");
-                return ExitCode::from(2);
-            }
-        },
+fn fleet_cmd(args: &Args) -> Result<ExitCode, String> {
+    let addrs: Vec<SocketAddr> = args.all("shard-addr");
+    let map = match args.opt::<PathBuf>("shard-map") {
+        Some(path) => Some(
+            ShardMap::load(&path)
+                .map_err(|e| format!("cannot load shard map {}: {e}", path.display()))?,
+        ),
         // --shards N is the canonical N-seat map — the same one
         // `serve --shard I/N` uses without a map file.
         None => {
-            let n: u32 = parsed(flags, "shards", 0);
+            let n: u32 = args.get("shards");
             (n > 0).then(|| ShardMap::new(n))
         }
     };
-    let lp = ranker(flags);
     let fleet = Arc::new(Mutex::new(FleetAggregator::new(
         FleetConfig {
             map,
             ..FleetConfig::new(addrs.clone())
         },
-        lp,
+        ranker(args),
     )));
-    let port: u16 = parsed(flags, "port", 0);
-    let mut server = match serve_fleet_endpoints(Arc::clone(&fleet), &format!("127.0.0.1:{port}")) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot bind fleet endpoints: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let port: u16 = args.get("port");
+    let mut server = serve_fleet_endpoints(Arc::clone(&fleet), &format!("127.0.0.1:{port}"))
+        .map_err(|e| format!("cannot bind fleet endpoints: {e}"))?;
     println!(
         "leakprofd: fleet tier over {} shard(s), serving merged /metrics, /status, /health, \
          /api/snapshot on http://{}",
         addrs.len(),
         server.addr()
     );
-    let polls: u64 = parsed(flags, "polls", 0);
-    let interval_ms: u64 = parsed(flags, "interval-ms", 1000);
-    let out_map = flag(flags, "out-map").map(std::path::PathBuf::from);
+    let polls: u64 = args.get("polls");
+    let interval_ms: u64 = args.get("interval-ms");
+    let out_map: Option<PathBuf> = args.opt("out-map");
     let mut saved_version = 0u64;
     let mut ran = 0u64;
     loop {
@@ -1319,7 +1185,7 @@ fn fleet_cmd(flags: &[(String, String)]) -> ExitCode {
         if polls > 0 && ran >= polls {
             break;
         }
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms));
+        std::thread::sleep(Duration::from_millis(interval_ms));
     }
     let f = fleet.lock().expect("fleet poisoned");
     if let Some(report) = f.last_report() {
@@ -1328,21 +1194,21 @@ fn fleet_cmd(flags: &[(String, String)]) -> ExitCode {
     print!("{}", f.metrics_text());
     drop(f);
     server.shutdown();
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Runs the deterministic chaos harness against a demo fleet and
 /// reports whether the crash-safety invariants held.
-fn chaos(flags: &[(String, String)]) -> ExitCode {
-    let seed: u64 = parsed(flags, "seed", 7);
-    let state_dir = flag(flags, "state-dir")
-        .map(std::path::PathBuf::from)
+fn chaos(args: &Args) -> Result<ExitCode, String> {
+    let seed: u64 = args.get("seed");
+    let state_dir = args
+        .opt::<PathBuf>("state-dir")
         .unwrap_or_else(|| std::env::temp_dir().join(format!("leakprofd-chaos-{seed}")));
     let mut config = ChaosConfig::quick(seed, state_dir.clone());
-    config.instances = parsed(flags, "instances", 8);
-    config.cycles = parsed(flags, "cycles", 12u64);
+    config.instances = args.get("instances");
+    config.cycles = args.get("cycles");
     config.plan = ChaosPlanConfig {
-        restart_every: parsed(flags, "restart-every", 4u64),
+        restart_every: args.get("restart-every"),
         ..ChaosPlanConfig::default()
     };
     println!(
@@ -1351,20 +1217,14 @@ fn chaos(flags: &[(String, String)]) -> ExitCode {
         config.cycles,
         state_dir.display()
     );
-    match run_chaos(&config, |line| println!("{line}")) {
-        Ok(outcome) => {
-            println!("{}", outcome.render());
-            if outcome.invariants_hold() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
-        Err(e) => {
-            eprintln!("error: chaos run failed: {e}");
-            ExitCode::from(2)
-        }
-    }
+    let outcome = run_chaos(&config, |line| println!("{line}"))
+        .map_err(|e| format!("chaos run failed: {e}"))?;
+    println!("{}", outcome.render());
+    Ok(if outcome.invariants_hold() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
+    })
 }
 
 /// `leakprofd push`: the push client. Discovers instances at
@@ -1373,42 +1233,21 @@ fn chaos(flags: &[(String, String)]) -> ExitCode {
 /// `/api/push` when the blocked count crosses `--watermark` (or every
 /// `--heartbeat` polls), retrying shed pushes with capped exponential
 /// backoff honoring `Retry-After`.
-fn push_cmd(flags: &[(String, String)]) -> ExitCode {
-    let daemon_addr = match addr_flag(flags, "push") {
-        Ok(a) => a,
-        Err(code) => return code,
-    };
-    let Some(fleet) = flag(flags, "fleet-addr") else {
-        eprintln!("usage: leakprofd push --addr HOST:PORT --fleet-addr HOST:PORT");
-        return ExitCode::from(2);
-    };
-    let fleet_addr: std::net::SocketAddr = match fleet.parse() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: bad --fleet-addr {fleet}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let ids: Vec<String> = match fetch(fleet_addr, "/instances")
-        .and_then(|body| serde_json::from_str(&body).map_err(|e| format!("/instances: {e}")))
-    {
-        Ok(ids) => ids,
-        Err(e) => {
-            eprintln!("error: cannot list instances at {fleet_addr}: {e}");
-            return ExitCode::from(2);
-        }
-    };
+fn push_cmd(args: &Args) -> Result<ExitCode, String> {
+    let daemon_addr: SocketAddr = args.get("addr");
+    let fleet_addr: SocketAddr = args.get("fleet-addr");
+    let ids = list_instances(fleet_addr)?;
     if ids.is_empty() {
         eprintln!("error: {fleet_addr} serves no instances");
-        return ExitCode::from(1);
+        return Ok(ExitCode::from(1));
     }
-    let pushers: usize = parsed(flags, "pushers", 4usize).max(1).min(ids.len());
-    let rounds: u64 = parsed(flags, "rounds", 1);
-    let watermark: u64 = parsed(flags, "watermark", 1);
-    let heartbeat: u64 = parsed(flags, "heartbeat", 0);
-    let interval_ms: u64 = parsed(flags, "interval-ms", 500);
-    let seed: u64 = parsed(flags, "seed", 7);
-    let trace_out = flag(flags, "trace-out").map(String::from);
+    let pushers: usize = args.get::<usize>("pushers").max(1).min(ids.len());
+    let rounds: u64 = args.get("rounds");
+    let watermark: u64 = args.get("watermark");
+    let heartbeat: u64 = args.get("heartbeat");
+    let interval_ms: u64 = args.get("interval-ms");
+    let seed: u64 = args.get("seed");
+    let trace_out: Option<String> = args.opt("trace-out");
     println!(
         "leakprofd: pushing {} instance(s) from http://{fleet_addr} to http://{daemon_addr}/api/push \
          ({pushers} pusher(s), watermark {watermark})",
@@ -1460,21 +1299,17 @@ fn push_cmd(flags: &[(String, String)]) -> ExitCode {
                         if !trigger.should_push(profile.goroutines.len() as u64) {
                             continue;
                         }
-                        match client.push(&profile) {
-                            Ok(_) => {}
-                            Err(e @ PushError::Rejected { .. }) => {
-                                eprintln!("leakprofd: push: {id}: {e}");
-                            }
-                            // Shed budgets exhausted or transport down:
-                            // drop this round's profile, the next round
-                            // pushes a fresher one anyway.
-                            Err(_) => {}
+                        // Other errors mean shed budgets exhausted or
+                        // transport down: drop this round's profile, the
+                        // next round pushes a fresher one anyway.
+                        if let Err(e @ PushError::Rejected { .. }) = client.push(&profile) {
+                            eprintln!("leakprofd: push: {id}: {e}");
                         }
                     }
                     if rounds > 0 && round >= rounds {
                         break;
                     }
-                    std::thread::sleep(std::time::Duration::from_millis(interval_ms));
+                    std::thread::sleep(Duration::from_millis(interval_ms));
                 }
                 let snapshot = traced.then(|| client.tracer().snapshot());
                 (client.stats().clone(), snapshot)
@@ -1492,14 +1327,8 @@ fn push_cmd(flags: &[(String, String)]) -> ExitCode {
         snapshots.extend(snapshot);
     }
     if let Some(path) = &trace_out {
-        let chrome = match snapshots.as_slice() {
-            [one] => obs::to_chrome(one),
-            many => obs::to_chrome_stitched(many),
-        };
-        if let Err(e) = std::fs::write(path, &chrome) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
+        std::fs::write(path, chrome(&snapshots))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!(
             "wrote {} pusher trace(s) to {path} (stitch with `leakprofd trace --addr ...` \
              for the daemon side)",
@@ -1510,11 +1339,11 @@ fn push_cmd(flags: &[(String, String)]) -> ExitCode {
         "pushed {} profile(s); {} shed response(s) absorbed, {} transport error(s), {} failed",
         total.pushed, total.sheds, total.transport_errors, total.failed
     );
-    if total.pushed == 0 {
+    Ok(if total.pushed == 0 {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// `leakprofd racecheck --dir PATH`: one-shot happens-before race
@@ -1524,64 +1353,30 @@ fn push_cmd(flags: &[(String, String)]) -> ExitCode {
 /// style (or as JSON with `--json`). Exit 0 when race-free, 1 when
 /// races were found, 2 on compile/IO errors (a `.go` file that is not
 /// valid UTF-8 among them).
-fn racecheck_cmd(flags: &[(String, String)]) -> ExitCode {
-    let Some(dir) = flag(flags, "dir") else {
-        eprintln!("error: racecheck requires --dir PATH");
-        return ExitCode::from(2);
-    };
-    let dir = std::path::PathBuf::from(dir);
-    let files = match collector::source_tree::read_go_tree(&dir) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", dir.display());
-            return ExitCode::from(2);
-        }
-    };
+fn racecheck_cmd(args: &Args) -> Result<ExitCode, String> {
+    let dir: PathBuf = args.get("dir");
+    let files = collector::source_tree::read_go_tree(&dir)
+        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
     if files.is_empty() {
-        eprintln!("error: no .go files under {}", dir.display());
-        return ExitCode::from(2);
+        return Err(format!("no .go files under {}", dir.display()));
     }
-    let sources = match collector::source_tree::into_sources(files) {
-        Ok(s) => s,
-        Err(rel) => {
-            eprintln!("error: {rel}: not valid UTF-8");
-            return ExitCode::from(2);
-        }
-    };
+    let sources = collector::source_tree::into_sources(files)
+        .map_err(|rel| format!("{rel}: not valid UTF-8"))?;
     let cfg = racecheck::RunConfig {
-        seed: parsed(flags, "seed", 13u64),
-        ticks: parsed(flags, "ticks", 5_000u64),
+        seed: args.get("seed"),
+        ticks: args.get("ticks"),
         ..racecheck::RunConfig::default()
     };
-    let entries = match flag(flags, "entry") {
-        Some(entry) => vec![entry.to_string()],
-        None => match racecheck::discover_entries(&sources) {
-            Ok(entries) => entries,
-            Err(diags) => {
-                for d in &diags {
-                    eprintln!("error: {d}");
-                }
-                return ExitCode::from(2);
-            }
-        },
+    let entries = match args.opt::<String>("entry") {
+        Some(entry) => vec![entry],
+        None => racecheck::discover_entries(&sources).map_err(|d| errors(&d))?,
     };
     if entries.is_empty() {
-        eprintln!(
-            "error: no zero-argument entry points under {}",
-            dir.display()
-        );
-        return ExitCode::from(2);
+        let dir = dir.display();
+        return Err(format!("no zero-argument entry points under {dir}"));
     }
-    let report = match racecheck::check_entries(&sources, &entries, &cfg) {
-        Ok(r) => r,
-        Err(diags) => {
-            for d in &diags {
-                eprintln!("error: {d}");
-            }
-            return ExitCode::from(2);
-        }
-    };
-    if flags.iter().any(|(k, _)| k == "json") {
+    let report = racecheck::check_entries(&sources, &entries, &cfg).map_err(|d| errors(&d))?;
+    if args.on("json") {
         println!(
             "{}",
             serde_json::to_string_pretty(&report).expect("report serializes")
@@ -1595,9 +1390,15 @@ fn racecheck_cmd(flags: &[(String, String)]) -> ExitCode {
         );
         print!("{}", report.render());
     }
-    if report.is_clean() {
+    Ok(if report.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
-    }
+    })
+}
+
+/// Several diagnostics as one exit-2 message, one `error:` line each.
+fn errors(diags: &[impl std::fmt::Display]) -> String {
+    let lines: Vec<String> = diags.iter().map(ToString::to_string).collect();
+    lines.join("\nerror: ")
 }

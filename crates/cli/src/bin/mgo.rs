@@ -1,43 +1,29 @@
 //! `mgo` — compile and run mini-Go programs on the simulated runtime.
-//!
-//! ```text
-//! mgo run   <files...> [--func pkg.F] [--seed N] [--ticks T]   execute
-//! mgo leaks <files...> [--func pkg.F] [--seed N]               goleak verdict
-//! mgo dump  <files...> [--func pkg.F] [--seed N]               goroutine profile
-//! ```
-//!
-//! Exit code: 0 on success / no leaks, 1 when leaks are found, 2 on
-//! usage or compile errors.
+//! Run it without arguments for its commands and flags.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use gosim::Runtime;
-use leaklab_cli::{collect_go_files, flag, read_source, split_flags};
+use leaklab_cli::{collect_go_files, parse, read_source, usage_error, value, Spec};
 
-fn usage() -> ExitCode {
-    eprintln!("usage: mgo <run|leaks|dump> <files...> [--func pkg.F] [--seed N] [--ticks T]");
-    ExitCode::from(2)
-}
+const MGO: Spec = Spec {
+    synopsis: "mgo <run|leaks|dump> <files...>",
+    about: "Run mini-Go files: print stats, the goleak verdict (exit 1 on leaks) or the profile.",
+    flags: &[
+        value::<String>("func", "pkg.F", "entry (default: main, else the only func)"),
+        value::<u64>("seed", "N", "scheduler seed").default("0"),
+        value::<u64>("ticks", "T", "virtual ticks to advance after blocking").default("10000"),
+    ],
+};
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        return usage();
+    let args = parse(&MGO, std::env::args().skip(1));
+    let (cmd, files) = args.positional.split_first().expect("parse requires one");
+    let files = collect_go_files(files);
+    if !["run", "leaks", "dump"].contains(&cmd.as_str()) || files.is_empty() {
+        usage_error(&MGO, "want run, leaks or dump, then .go files");
     }
-    let cmd = args.remove(0);
-    let (pos, flags) = split_flags(args);
-    let files = collect_go_files(&pos);
-    if files.is_empty() {
-        return usage();
-    }
-
-    let seed: u64 = flag(&flags, "seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let ticks: u64 = flag(&flags, "ticks")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000);
 
     let mut sources = Vec::new();
     for f in &files {
@@ -58,8 +44,8 @@ fn main() -> ExitCode {
     };
 
     // Pick the entry: --func, else `main`, else the only zero-arg func.
-    let entry = match flag(&flags, "func") {
-        Some(f) => f.to_string(),
+    let entry = match args.opt::<String>("func") {
+        Some(f) => f,
         None => {
             if prog.func("main").is_some() {
                 "main".to_string()
@@ -80,13 +66,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut rt = Runtime::with_seed(seed);
+    let mut rt = Runtime::with_seed(args.get("seed"));
     if prog.spawn_func(&mut rt, &entry, vec![]).is_none() {
         eprintln!("error: no function named {entry}");
         return ExitCode::from(2);
     }
     rt.run_until_blocked(1_000_000);
-    rt.advance(ticks, 1_000_000);
+    rt.advance(args.get("ticks"), 1_000_000);
 
     match cmd.as_str() {
         "run" => {
@@ -120,7 +106,7 @@ fn main() -> ExitCode {
             }
             ExitCode::from(1)
         }
-        "dump" => {
+        _ => {
             let name = files
                 .first()
                 .map(|p: &PathBuf| p.display().to_string())
@@ -128,6 +114,5 @@ fn main() -> ExitCode {
             print!("{}", rt.goroutine_profile(name).render());
             ExitCode::SUCCESS
         }
-        _ => usage(),
     }
 }

@@ -225,3 +225,73 @@ fn top_renders_one_dashboard_frame() {
         );
     }
 }
+
+#[test]
+fn live_differential_and_self_flames_over_a_leaking_fleet() {
+    let serve = spawn_serve();
+    // The serve loop advances the demo fleet a day per cycle, so the
+    // leak sites' blocked populations grow the whole run; by cycle 8
+    // the trend classifier calls them regressing.
+    wait_for_cycles(serve.addr, 8);
+
+    // Live folded stacks blame the seeded leak sites, root-first.
+    assert!(get(serve.addr, "/flame.txt").contains("handler.go"));
+    // The HTML document is self-contained and colors the regressing
+    // subtrees from the /health verdicts.
+    let html = get(serve.addr, "/flame");
+    assert!(html.contains("<svg"), "no svg in /flame");
+    assert!(
+        html.contains(r#"data-health="regressing""#),
+        "no regressing subtree in /flame"
+    );
+    // The differential window isolates growth: the fleet grew every
+    // cycle, so the window is non-empty and lands on the leak sites.
+    let diff = get(serve.addr, "/flame.txt?from=2&to=5");
+    assert!(!diff.is_empty() && diff.contains("handler.go"), "{diff}");
+    // A flat self-window must 400, not render garbage.
+    let flat = collector::http_get(
+        serve.addr,
+        "/flame.txt?from=5",
+        Duration::from_millis(1000),
+        Duration::from_millis(2000),
+    );
+    assert!(
+        matches!(flat, Err(collector::HttpError::Status(400))),
+        "{flat:?}"
+    );
+    // The daemon's own self-flame folds worker wait stacks.
+    assert!(get(serve.addr, "/flame/self.txt").contains("worker"));
+
+    // The CLI fetches both views to files.
+    let addr = serve.addr.to_string();
+    let dir = std::env::temp_dir().join(format!("leakprofd-flame-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("flame dir");
+    let html_path = dir.join("flame.html");
+    let diff_path = dir.join("diff.txt");
+    let flame = |args: &[&str]| {
+        Command::new(BIN)
+            .args(["flame", "--addr", &addr])
+            .args(args)
+            .output()
+            .expect("run flame")
+    };
+    let out = flame(&["--out", html_path.to_str().expect("utf-8 path")]);
+    assert!(out.status.success(), "flame --out failed: {out:?}");
+    let written = std::fs::read_to_string(&html_path).expect("flame.html written");
+    assert!(written.contains("<svg"));
+    let diff_args = ["--txt", "--from", "2", "--to", "5", "--out"];
+    let out = flame(&[&diff_args[..], &[diff_path.to_str().expect("utf-8 path")]].concat());
+    assert!(
+        out.status.success(),
+        "flame --txt --from --to failed: {out:?}"
+    );
+    let written = std::fs::read_to_string(&diff_path).expect("diff.txt written");
+    assert!(written.contains("handler.go"), "{written}");
+    std::fs::remove_dir_all(&dir).ok();
+
+    // The differential needs both ends, and the self flame has none.
+    for args in [&["--from", "2"][..], &["--self", "--from", "2"][..]] {
+        let out = flame(args);
+        assert_eq!(out.status.code(), Some(2), "flame {args:?}: {out:?}");
+    }
+}

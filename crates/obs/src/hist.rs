@@ -16,8 +16,9 @@ const BUCKETS: usize = 48;
 /// A log2-bucketed latency histogram over microseconds.
 ///
 /// Bucket `i` counts observations in `[2^i, 2^(i+1))` µs; quantiles are
-/// reported as the upper bound of the containing bucket, which is enough
-/// resolution for scrape-health dashboards.
+/// reported as the upper bound of the containing bucket, clamped to the
+/// largest observation, which is enough resolution for scrape-health
+/// dashboards.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
@@ -108,7 +109,9 @@ impl LatencyHistogram {
         self.sum_us.checked_div(self.count).unwrap_or(0)
     }
 
-    /// Upper bound (µs) of the bucket containing quantile `q` in `[0,1]`.
+    /// Upper bound (µs) of the bucket containing quantile `q` in `[0,1]`,
+    /// clamped to [`LatencyHistogram::max_us`]: no quantile exceeds the
+    /// largest observation it summarises.
     pub fn quantile_us(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -118,7 +121,7 @@ impl LatencyHistogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return 1u64 << (i + 1);
+                return (1u64 << (i + 1)).min(self.max_us);
             }
         }
         self.max_us
@@ -153,6 +156,15 @@ mod tests {
         assert!(h.p99_us() <= 128);
         assert!(h.max_us() >= 50_000);
         assert!(h.quantile_us(1.0) >= 50_000 / 2);
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_max() {
+        let mut h = LatencyHistogram::new();
+        h.record_us(1_363);
+        assert!(h.p50_us() <= 1_363, "p50 {}", h.p50_us());
+        assert!(h.p99_us() <= 1_363, "p99 {}", h.p99_us());
+        assert_eq!(h.quantile_us(1.0), 1_363);
     }
 
     #[test]
